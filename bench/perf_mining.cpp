@@ -1,11 +1,8 @@
-// Performance comparison of the three frequent-itemset miners plus the
+// Performance comparison of the frequent-itemset miners plus the
 // downstream rule-generation and pruning stages (google-benchmark).
 //
-// Supports the paper's Sec. III-C claim that FP-Growth is the state of
-// the practice: Apriori's candidate generate-and-count pays one database
-// pass per level and an exponential candidate set on dense data, while
-// FP-Growth compresses the database once. Eclat sits in between on
-// these workloads.
+// Supports the paper's Sec. III-C choice of FP-Growth, which compresses
+// the database once, against the vertical-layout Eclat baseline.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,7 +12,6 @@
 #include <string_view>
 #include <thread>
 
-#include "core/apriori.hpp"
 #include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
 #include "core/partitioned.hpp"
@@ -231,20 +227,6 @@ BENCHMARK(BM_FpGrowthParallel)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Apriori(benchmark::State& state) {
-  const auto db = make_db(static_cast<std::size_t>(state.range(0)), 36,
-                          static_cast<double>(state.range(1)) / 100.0, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::mine_apriori(db, params()));
-  }
-}
-BENCHMARK(BM_Apriori)
-    ->Args({2000, 25})
-    ->Args({2000, 45})
-    ->Args({10000, 25})
-    ->Args({10000, 45})
     ->Unit(benchmark::kMillisecond);
 
 void BM_Eclat(benchmark::State& state) {

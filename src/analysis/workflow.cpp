@@ -103,7 +103,6 @@ MinedTrace mine(prep::Table table, const WorkflowConfig& config) {
     son.mining = config.mining;
     son.num_partitions = config.num_partitions;
     son.num_threads = config.mining.num_threads;
-    son.dedup_partitions = config.dedup_transactions;
     out.mined = core::mine_partitioned(out.prepared.db, son);
     pm.distinct_transactions =
         out.mined.metrics.partition_stage.distinct_rows;
@@ -111,7 +110,7 @@ MinedTrace mine(prep::Table table, const WorkflowConfig& config) {
                          ? 0.0
                          : static_cast<double>(pm.input_transactions) /
                                static_cast<double>(pm.distinct_transactions);
-  } else if (config.dedup_transactions) {
+  } else {
     // Mining runs over the weighted deduplicated database; support math
     // uses total_weight(), so the result (itemsets, counts, db_size) is
     // byte-identical to mining the expanded one. `prepared.db` keeps
@@ -129,9 +128,6 @@ MinedTrace mine(prep::Table table, const WorkflowConfig& config) {
                          : static_cast<double>(pm.input_transactions) /
                                static_cast<double>(deduped.size());
     out.mined = core::mine_frequent(deduped, config.mining, config.algorithm);
-  } else {
-    out.mined =
-        core::mine_frequent(out.prepared.db, config.mining, config.algorithm);
   }
   out.mined.metrics.prep_stage = pm;
   return out;

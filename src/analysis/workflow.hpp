@@ -77,10 +77,6 @@ struct WorkflowConfig {
   /// encoder passes). 1 = serial; propagated into encoder.num_threads
   /// unless that was set explicitly.
   std::size_t prep_threads = 1;
-  /// Fold identical transactions into weighted rows before mining.
-  /// Support math runs over total weight, so results are byte-identical
-  /// either way; dedup only changes how much work the miner does.
-  bool dedup_transactions = true;
 };
 
 /// The preprocessed mining database plus everything needed to interpret

@@ -60,6 +60,31 @@ bool reject_unused(const Args& args, std::ostream& err) {
   return unused.empty();
 }
 
+// Rule and pruning thresholds plus the worker count, read the same way
+// by every command that builds rules: from a CSV, `mine --load` and
+// `snapshot --from-itemsets`.
+struct RuleFlags {
+  core::RuleParams rules;     // --min-lift; --threads sets num_threads
+  core::PruneParams pruning;  // --c-lift, --c-supp
+};
+
+Result<RuleFlags> read_rule_flags(const Args& args) {
+  const auto threads = args.get_uint("threads", 1);
+  if (!threads.ok()) return threads.error();
+  const auto min_lift = args.get_double("min-lift", 1.5);
+  if (!min_lift.ok()) return min_lift.error();
+  const auto c_lift = args.get_double("c-lift", 1.5);
+  if (!c_lift.ok()) return c_lift.error();
+  const auto c_supp = args.get_double("c-supp", 1.5);
+  if (!c_supp.ok()) return c_supp.error();
+  RuleFlags flags;
+  flags.rules.min_lift = min_lift.value();
+  flags.rules.num_threads = static_cast<std::size_t>(threads.value());
+  flags.pruning.c_lift = c_lift.value();
+  flags.pruning.c_supp = c_supp.value();
+  return flags;
+}
+
 // Shared CSV -> WorkflowConfig assembly for `itemsets` and `mine`.
 struct LoadedTrace {
   prep::Table table;
@@ -77,18 +102,13 @@ Result<LoadedTrace> load_trace(const Args& args) {
   if (!min_support.ok()) return min_support.error();
   const auto max_length = args.get_uint("max-length", 5);
   if (!max_length.ok()) return max_length.error();
-  const auto threads = args.get_uint("threads", 1);
-  if (!threads.ok()) return threads.error();
-  const auto min_lift = args.get_double("min-lift", 1.5);
-  if (!min_lift.ok()) return min_lift.error();
-  const auto c_lift = args.get_double("c-lift", 1.5);
-  if (!c_lift.ok()) return c_lift.error();
-  const auto c_supp = args.get_double("c-supp", 1.5);
-  if (!c_supp.ok()) return c_supp.error();
+  const auto flags = read_rule_flags(args);
+  if (!flags.ok()) return flags.error();
+  const std::size_t threads = flags.value().rules.num_threads;
 
   prep::CsvParams csv;
   csv.force_categorical = split_list(args.get_or("categorical", "job_id"));
-  csv.num_threads = static_cast<std::size_t>(threads.value());
+  csv.num_threads = threads;
   const auto csv_begin = std::chrono::steady_clock::now();
   auto parsed = prep::read_csv_file(*path, csv);
   if (!parsed.ok()) return parsed.error();
@@ -101,19 +121,15 @@ Result<LoadedTrace> load_trace(const Args& args) {
 
   config.mining.min_support = min_support.value();
   config.mining.max_length = static_cast<std::size_t>(max_length.value());
-  config.mining.num_threads = static_cast<std::size_t>(threads.value());
-  // Rule generation and the prep stages share the mining worker count.
-  config.rules.num_threads = config.mining.num_threads;
-  config.prep_threads = config.mining.num_threads;
-  config.rules.min_lift = min_lift.value();
-  config.pruning.c_lift = c_lift.value();
-  config.pruning.c_supp = c_supp.value();
+  // Mining, rule generation and the prep stages share one worker count.
+  config.mining.num_threads = threads;
+  config.prep_threads = threads;
+  config.rules = flags.value().rules;
+  config.pruning = flags.value().pruning;
 
   const std::string algorithm = args.get_or("algorithm", "fpgrowth");
   if (algorithm == "fpgrowth") {
     config.algorithm = core::Algorithm::kFpGrowth;
-  } else if (algorithm == "apriori") {
-    config.algorithm = core::Algorithm::kApriori;
   } else if (algorithm == "eclat") {
     config.algorithm = core::Algorithm::kEclat;
   } else {
@@ -327,7 +343,8 @@ int run_help(std::ostream& out) {
          "  gpumine synth --trace pai|supercloud|philly [--jobs N] "
          "[--seed S] --out trace.csv\n"
          "  gpumine itemsets --csv trace.csv [--min-support F] "
-         "[--max-length K] [--algorithm A] [--top N] [--save FILE] [--family all|closed|maximal]\n"
+         "[--max-length K] [--algorithm fpgrowth|eclat] [--top N] "
+         "[--save FILE] [--family all|closed|maximal]\n"
          "                   [--engine direct|son] [--partitions N] "
          "[--threads N] [--stats]\n"
          "  gpumine mine (--csv trace.csv | --load FILE) --keyword ITEM "
@@ -516,23 +533,13 @@ int run_mine(const std::vector<std::string>& args_raw, std::ostream& out,
       return 2;
     }
     // Rule/pruning thresholds still apply when replaying saved itemsets.
-    const auto min_lift = args.get_double("min-lift", 1.5);
-    const auto c_lift = args.get_double("c-lift", 1.5);
-    const auto c_supp = args.get_double("c-supp", 1.5);
-    const auto threads = args.get_uint("threads", 1);
-    if (!min_lift.ok() || !c_lift.ok() || !c_supp.ok() || !threads.ok()) {
-      err << (!min_lift.ok() ? min_lift.error()
-              : !c_lift.ok() ? c_lift.error()
-              : !c_supp.ok() ? c_supp.error()
-                             : threads.error())
-                 .to_string()
-          << "\n";
+    const auto flags = read_rule_flags(args);
+    if (!flags.ok()) {
+      err << flags.error().to_string() << "\n";
       return 2;
     }
-    config.rules.min_lift = min_lift.value();
-    config.rules.num_threads = static_cast<std::size_t>(threads.value());
-    config.pruning.c_lift = c_lift.value();
-    config.pruning.c_supp = c_supp.value();
+    config.rules = flags.value().rules;
+    config.pruning = flags.value().pruning;
     core::LoadedMiningResult archive = std::move(loaded).value();
     result = std::move(archive.result);
     catalog = std::move(archive.catalog);
@@ -915,17 +922,9 @@ int run_snapshot(const std::vector<std::string>& args_raw, std::ostream& out,
       archive_path.has_value()) {
     // Convert a v1 text archive (`itemsets --save`); rule and pruning
     // thresholds come from the flags, as in `mine --load`.
-    const auto min_lift = args.get_double("min-lift", 1.5);
-    const auto c_lift = args.get_double("c-lift", 1.5);
-    const auto c_supp = args.get_double("c-supp", 1.5);
-    const auto threads = args.get_uint("threads", 1);
-    if (!min_lift.ok() || !c_lift.ok() || !c_supp.ok() || !threads.ok()) {
-      err << (!min_lift.ok() ? min_lift.error()
-              : !c_lift.ok() ? c_lift.error()
-              : !c_supp.ok() ? c_supp.error()
-                             : threads.error())
-                 .to_string()
-          << "\n";
+    const auto flags = read_rule_flags(args);
+    if (!flags.ok()) {
+      err << flags.error().to_string() << "\n";
       return 2;
     }
     if (!reject_unused(args, err)) return 2;
@@ -934,16 +933,11 @@ int run_snapshot(const std::vector<std::string>& args_raw, std::ostream& out,
       err << loaded.error().to_string() << "\n";
       return 2;
     }
-    core::RuleParams rule_params;
-    rule_params.min_lift = min_lift.value();
-    rule_params.num_threads = static_cast<std::size_t>(threads.value());
-    core::PruneParams prune_params;
-    prune_params.c_lift = c_lift.value();
-    prune_params.c_supp = c_supp.value();
     core::LoadedMiningResult archive = std::move(loaded).value();
     snapshot = core::build_rule_snapshot(std::move(archive.result),
                                          std::move(archive.catalog),
-                                         rule_params, prune_params);
+                                         flags.value().rules,
+                                         flags.value().pruning);
   } else {
     auto loaded = load_trace(args);
     if (!loaded.ok()) {

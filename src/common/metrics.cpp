@@ -115,42 +115,27 @@ const char* to_string(MetricType type) {
   GPUMINE_ENSURE(false, "unknown MetricType");
 }
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  GPUMINE_ENSURE(std::is_sorted(bounds_.begin(), bounds_.end()) &&
-                     std::adjacent_find(bounds_.begin(), bounds_.end()) ==
-                         bounds_.end(),
-                 "histogram bounds must be strictly ascending");
-  buckets_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-}
-
-void Histogram::observe(double v) {
-  // le buckets are inclusive: a value equal to a bound belongs to that
-  // bound's bucket, hence lower_bound.
-  const auto i = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed,
-                                     std::memory_order_relaxed)) {
+std::uint64_t Histogram::percentile_ns(double p) const {
+  std::array<std::uint64_t, kBuckets> counts;
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    counts[i] = buckets_[i].load(std::memory_order_relaxed);
+    total += counts[i];
   }
-}
-
-void Histogram::merge_bucket(std::size_t i, std::uint64_t n, double sum) {
-  GPUMINE_ENSURE(i <= bounds_.size(), "merge_bucket index out of range");
-  buckets_[i].fetch_add(n, std::memory_order_relaxed);
-  count_.fetch_add(n, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + sum,
-                                     std::memory_order_relaxed,
-                                     std::memory_order_relaxed)) {
+  if (total == 0) return 0;
+  if (p < 0.0) p = 0.0;
+  if (p > 1.0) p = 1.0;
+  // Rank of the requested observation, 1-based; ceil keeps p=0.5 of a
+  // 2-element histogram on the first element.
+  auto rank = static_cast<std::uint64_t>(
+      std::ceil(p * static_cast<double>(total)));
+  if (rank == 0) rank = 1;
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    seen += counts[i];
+    if (seen >= rank) return bucket_upper_ns(i);
   }
-}
-
-MetricsRegistry& MetricsRegistry::instance() {
-  static MetricsRegistry registry;
-  return registry;
+  return bucket_upper_ns(kBuckets - 1);
 }
 
 MetricsRegistry::Series& MetricsRegistry::series_for(std::string_view name,
@@ -202,34 +187,13 @@ Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help,
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::string_view help,
-                                      std::vector<double> bounds,
                                       MetricLabels labels) {
   Series& s = series_for(name, help, MetricType::kHistogram, std::move(labels));
-  if (!s.histogram) {
-    s.histogram = std::make_unique<Histogram>(std::move(bounds));
-  } else {
-    GPUMINE_ENSURE(s.histogram->bounds() == bounds,
-                   "histogram re-registered with different bounds: " +
-                       std::string(name));
-  }
+  if (!s.histogram) s.histogram = std::make_unique<Histogram>();
   return *s.histogram;
 }
 
-void MetricsRegistry::add_collector(std::function<void()> update) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  collectors_.push_back(std::move(update));
-}
-
 RegistrySnapshot MetricsRegistry::snapshot() const {
-  // Collectors may register instruments (first scrape), so they run
-  // outside the registry lock.
-  std::vector<std::function<void()>> collectors;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    collectors = collectors_;
-  }
-  for (const auto& update : collectors) update();
-
   RegistrySnapshot out;
   std::lock_guard<std::mutex> lock(mutex_);
   out.families.reserve(families_.size());
@@ -248,16 +212,15 @@ RegistrySnapshot MetricsRegistry::snapshot() const {
         s.value = series->gauge->value();
       } else if (series->histogram) {
         const Histogram& h = *series->histogram;
-        s.histogram.bounds = h.bounds();
-        s.histogram.cumulative.resize(h.bounds().size() + 1);
+        s.histogram.cumulative.resize(Histogram::kBuckets);
         std::uint64_t running = 0;
-        for (std::size_t i = 0; i <= h.bounds().size(); ++i) {
+        for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
           running += h.bucket_count(i);
           s.histogram.cumulative[i] = running;
         }
-        s.histogram.sum = h.sum();
-        // A snapshot taken mid-observe could see count ahead of the
-        // bucket writes; the cumulative total is the consistent view.
+        s.histogram.sum = static_cast<double>(h.sum_ns()) / 1e9;
+        // The buckets are read one by one, so their running total is
+        // the count that agrees with the +Inf bucket.
         s.histogram.count = running;
       }
       fam.series.push_back(std::move(s));
@@ -292,8 +255,10 @@ std::string RegistrySnapshot::to_prometheus() const {
       if (fam.type == MetricType::kHistogram) {
         for (std::size_t i = 0; i < s.histogram.cumulative.size(); ++i) {
           std::pair<std::string, std::string> le{
-              "le", i < s.histogram.bounds.size()
-                        ? fmt_value(s.histogram.bounds[i])
+              "le", i + 1 < s.histogram.cumulative.size()
+                        ? fmt_value(static_cast<double>(
+                                        Histogram::bucket_upper_ns(i)) /
+                                    1e9)
                         : "+Inf"};
           out += fam.name;
           out += "_bucket";

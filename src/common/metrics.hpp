@@ -1,19 +1,15 @@
 // Unified metrics registry with Prometheus text exposition.
 //
 // Instruments are the hot path: a Counter is one relaxed fetch_add, a
-// Gauge one relaxed store, a Histogram one bucket fetch_add plus a CAS
-// loop on the running sum — no locks anywhere on the recording side.
-// Registration (cold) takes a mutex and returns a reference that stays
-// valid for the registry's lifetime, so call sites register once and
-// cache the reference.
+// Gauge one relaxed store, a Histogram one bucket fetch_add plus relaxed
+// updates of its exact sum, min and max — no locks anywhere on the
+// recording side. Registration (cold) takes a mutex and returns a
+// reference that stays valid for the registry's lifetime, so call sites
+// register once and cache the reference.
 //
-// A registry is an instantiable object (the serve layer builds a fresh
-// one per scrape from its lock-free ServerMetrics snapshot; the CLI
-// builds one from MiningMetrics for `--metrics-out`); `instance()` is
-// the process-wide default for code that wants a shared sink.
-// Collectors registered with add_collector() run at snapshot time, so
-// adapters over existing metrics structs refresh their gauges exactly
-// when a scrape happens.
+// A registry is an instantiable object: the serve layer's ServerMetrics
+// owns one and records into it on every request; the CLI builds one from
+// MiningMetrics for `--metrics-out`.
 //
 // snapshot() is deterministic: families sorted by name, series sorted
 // by their rendered label string — the series *set* of two registries
@@ -25,9 +21,10 @@
 // by tests, `serve --check`, and the `metrics-check` subcommand.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -74,45 +71,89 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bound histogram: `bounds` are ascending bucket upper bounds;
-/// an implicit +Inf bucket catches everything above the last bound.
+/// Lock-free log2-bucket histogram of nanosecond durations. Bucket i
+/// counts values with bit_width(ns) == i, i.e. the range [2^(i-1), 2^i),
+/// and the top bucket saturates; each bucket is an independent relaxed
+/// atomic, so recording is one fetch_add plus the exact sum, min and
+/// max. Percentiles read back as the upper bound of the bucket holding
+/// the requested rank: an estimate within 2x of the true value. The
+/// exposition renders bucket i as `le` = (2^i - 1) ns in seconds and the
+/// top bucket as +Inf, with the exact sum as `_sum`.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> bounds);
+  static constexpr std::size_t kBuckets = 48;  // up to ~78 hours
 
-  void observe(double v);
-
-  /// Bulk-load pre-aggregated data (adapter path): adds `n` observations
-  /// to bucket `i` (i == bounds().size() selects +Inf) and `sum` to the
-  /// running sum, without per-value bucketing. Lets adapters over
-  /// existing histogram structs (e.g. the serve LatencyHistogram)
-  /// export their buckets losslessly.
-  void merge_bucket(std::size_t i, std::uint64_t n, double sum);
-
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
+  void record(std::uint64_t nanos) {
+    std::size_t bucket = std::bit_width(nanos);
+    if (bucket >= kBuckets) bucket = kBuckets - 1;
+    buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(nanos, std::memory_order_relaxed);
+    update_min(nanos);
+    update_max(nanos);
   }
-  [[nodiscard]] double sum() const {
+
+  /// Inclusive upper bound of bucket i, in nanoseconds: 2^i - 1.
+  [[nodiscard]] static constexpr std::uint64_t bucket_upper_ns(std::size_t i) {
+    return i == 0 ? 0 : (std::uint64_t{1} << i) - 1;
+  }
+
+  [[nodiscard]] std::uint64_t total() const {
+    std::uint64_t sum = 0;
+    for (const auto& b : buckets_) sum += b.load(std::memory_order_relaxed);
+    return sum;
+  }
+
+  /// Exact sum of all recorded values, in nanoseconds.
+  [[nodiscard]] std::uint64_t sum_ns() const {
     return sum_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  /// Non-cumulative count of bucket i (i == bounds().size() => +Inf).
+  /// Exact smallest recorded value; 0 when nothing has been recorded.
+  [[nodiscard]] std::uint64_t min_ns() const {
+    const std::uint64_t v = min_.load(std::memory_order_relaxed);
+    return v == kNoMin ? 0 : v;
+  }
+  /// Exact largest recorded value; 0 when nothing has been recorded.
+  [[nodiscard]] std::uint64_t max_ns() const {
+    return max_.load(std::memory_order_relaxed);
+  }
+
+  /// Raw (non-cumulative) count of bucket i.
   [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
 
+  /// Upper bound (in nanoseconds) of the bucket holding the p-quantile
+  /// observation, p in [0, 1]. 0 when nothing has been recorded.
+  [[nodiscard]] std::uint64_t percentile_ns(double p) const;
+
  private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds+1 slots
-  std::atomic<double> sum_{0.0};
-  std::atomic<std::uint64_t> count_{0};
+  static constexpr std::uint64_t kNoMin = ~std::uint64_t{0};
+
+  void update_min(std::uint64_t nanos) {
+    std::uint64_t cur = min_.load(std::memory_order_relaxed);
+    while (nanos < cur && !min_.compare_exchange_weak(
+                              cur, nanos, std::memory_order_relaxed,
+                              std::memory_order_relaxed)) {
+    }
+  }
+  void update_max(std::uint64_t nanos) {
+    std::uint64_t cur = max_.load(std::memory_order_relaxed);
+    while (nanos > cur && !max_.compare_exchange_weak(
+                              cur, nanos, std::memory_order_relaxed,
+                              std::memory_order_relaxed)) {
+    }
+  }
+
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> min_{kNoMin};
+  std::atomic<std::uint64_t> max_{0};
 };
 
 /// Point-in-time copy of one histogram series.
 struct HistogramSnapshot {
-  std::vector<double> bounds;               // ascending, without +Inf
-  std::vector<std::uint64_t> cumulative;    // bounds+1 entries, last = count
-  double sum = 0.0;
+  std::vector<std::uint64_t> cumulative;  // kBuckets entries, last = count
+  double sum = 0.0;                       // seconds
   std::uint64_t count = 0;
 };
 
@@ -142,9 +183,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Process-wide default registry.
-  static MetricsRegistry& instance();
-
   /// Registers (or finds) the series; the reference stays valid for the
   /// registry's lifetime. Re-registering the same (name, labels) with a
   /// different type or a conflicting label schema is a caller bug
@@ -154,11 +192,7 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name, std::string_view help,
                MetricLabels labels = {});
   Histogram& histogram(std::string_view name, std::string_view help,
-                       std::vector<double> bounds, MetricLabels labels = {});
-
-  /// Runs before every snapshot(): adapters over snapshot-style metrics
-  /// structs refresh their gauges here.
-  void add_collector(std::function<void()> update);
+                       MetricLabels labels = {});
 
   /// Deterministic copy: families name-sorted, series label-sorted.
   [[nodiscard]] RegistrySnapshot snapshot() const;
@@ -184,7 +218,6 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;
   std::map<std::string, Family, std::less<>> families_;
-  std::vector<std::function<void()>> collectors_;
 };
 
 /// Lints a text exposition document the way `promtool check metrics`

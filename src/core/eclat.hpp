@@ -5,7 +5,7 @@
 // tid-lists. The miner does a depth-first equivalence-class walk,
 // intersecting tid-lists as it extends prefixes. Included as a second
 // independent algorithm for cross-validation and for the perf bench
-// (vertical layouts often beat Apriori and rival FP-Growth on dense data).
+// (vertical layouts rival FP-Growth on dense data).
 #pragma once
 
 #include "core/frequent.hpp"

@@ -42,7 +42,7 @@ struct MiningParams {
   /// Absolute support-count threshold; 0 = derive from min_support.
   /// When set, min_count() returns this value verbatim, bypassing the
   /// fraction entirely. Callers that already hold an absolute count
-  /// (top-k's binary search, SON's per-partition thresholds) use this
+  /// (SON's per-partition thresholds) use this
   /// to avoid the count -> fraction -> ceil(f * |D|) round trip, which
   /// can land on count + 1 under floating rounding (e.g. count 7 over
   /// total weight 25) and silently tighten the threshold.
@@ -258,8 +258,8 @@ struct MiningResult {
   }
 };
 
-/// Sorts `itemsets` into the canonical deterministic order used by all
-/// three algorithms (length-major, then lexicographic by ids).
+/// Sorts `itemsets` into the canonical deterministic order used by every
+/// miner (length-major, then lexicographic by ids).
 void sort_canonical(std::vector<FrequentItemset>& itemsets);
 
 }  // namespace gpumine::core

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/ensure.hpp"
-#include "core/apriori.hpp"
 #include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
 
@@ -13,8 +12,6 @@ std::string_view to_string(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kFpGrowth:
       return "fpgrowth";
-    case Algorithm::kApriori:
-      return "apriori";
     case Algorithm::kEclat:
       return "eclat";
   }
@@ -26,8 +23,6 @@ MiningResult mine_frequent(const TransactionDb& db, const MiningParams& params,
   switch (algorithm) {
     case Algorithm::kFpGrowth:
       return mine_fpgrowth(db, params);
-    case Algorithm::kApriori:
-      return mine_apriori(db, params);
     case Algorithm::kEclat:
       return mine_eclat(db, params);
   }

@@ -1,4 +1,4 @@
-// Facade over the three frequent-itemset algorithms plus the full
+// Facade over the two frequent-itemset algorithms plus the full
 // itemsets -> rules -> pruned-rules pipeline of Sec. III.
 #pragma once
 
@@ -15,7 +15,6 @@ namespace gpumine::core {
 
 enum class Algorithm {
   kFpGrowth,  // paper's choice (Sec. III-C)
-  kApriori,   // classical baseline
   kEclat,     // vertical-layout baseline
 };
 

@@ -10,7 +10,6 @@
 #include "common/log.hpp"
 #include "common/trace.hpp"
 #include "core/snapshot.hpp"
-#include "serve/prometheus.hpp"
 
 namespace gpumine::serve {
 namespace {
@@ -247,8 +246,7 @@ HttpResponse RequestHandler::route(std::string_view method,
     shape.itemsets = engine->num_itemsets();
     shape.rules = engine->num_rules();
     shape.keywords_with_rules = engine->num_keywords_with_rules();
-    return {200, kPrometheusContentType,
-            render_prometheus(metrics_.snapshot(), shape)};
+    return {200, kPrometheusContentType, metrics_.render_prometheus(shape)};
   }
   if (path == "/reload") {
     if (method != "POST" && method != "GET") {

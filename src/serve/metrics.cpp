@@ -1,6 +1,5 @@
 #include "serve/metrics.hpp"
 
-#include <cmath>
 #include <cstdio>
 
 namespace gpumine::serve {
@@ -17,32 +16,6 @@ std::string fmt(double v) {
 }
 
 }  // namespace
-
-std::uint64_t LatencyHistogram::percentile_ns(double p) const {
-  std::array<std::uint64_t, kBuckets> counts;
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    total += counts[i];
-  }
-  if (total == 0) return 0;
-  if (p < 0.0) p = 0.0;
-  if (p > 1.0) p = 1.0;
-  // Rank of the requested observation, 1-based; ceil keeps p=0.5 of a
-  // 2-element histogram on the first element.
-  auto rank = static_cast<std::uint64_t>(
-      std::ceil(p * static_cast<double>(total)));
-  if (rank == 0) rank = 1;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += counts[i];
-    if (seen >= rank) {
-      // Bucket i holds values with bit_width == i: upper bound 2^i - 1.
-      return i == 0 ? 0 : (std::uint64_t{1} << i) - 1;
-    }
-  }
-  return (std::uint64_t{1} << (kBuckets - 1)) - 1;
-}
 
 const char* endpoint_name(Endpoint endpoint) {
   switch (endpoint) {
@@ -64,19 +37,36 @@ const char* endpoint_name(Endpoint endpoint) {
   return "unknown";
 }
 
+ServerMetrics::ServerMetrics() : start_(std::chrono::steady_clock::now()) {
+  for (std::size_t i = 0; i < kNumEndpoints; ++i) {
+    const MetricLabels label{{"endpoint",
+                              endpoint_name(static_cast<Endpoint>(i))}};
+    PerEndpoint& e = endpoints_[i];
+    e.requests = &registry_.counter("gpumine_server_requests_total",
+                                    "Requests handled, by endpoint", label);
+    e.errors = &registry_.counter("gpumine_server_errors_total",
+                                  "Non-2xx responses, by endpoint", label);
+    e.latency = &registry_.histogram("gpumine_server_request_latency_seconds",
+                                     "Request wall time, by endpoint", label);
+  }
+  reloads_ok_ = &registry_.counter("gpumine_server_reloads_total",
+                                   "Snapshot reload attempts, by result",
+                                   {{"result", "ok"}});
+  reloads_failed_ = &registry_.counter("gpumine_server_reloads_total",
+                                       "Snapshot reload attempts, by result",
+                                       {{"result", "error"}});
+}
+
 void ServerMetrics::record(Endpoint endpoint, int status,
                            std::uint64_t nanos) {
   PerEndpoint& e = endpoints_[static_cast<std::size_t>(endpoint)];
-  e.requests.fetch_add(1, std::memory_order_relaxed);
-  if (status < 200 || status >= 300) {
-    e.errors.fetch_add(1, std::memory_order_relaxed);
-  }
-  e.latency.record(nanos);
+  e.requests->add();
+  if (status < 200 || status >= 300) e.errors->add();
+  e.latency->record(nanos);
 }
 
 void ServerMetrics::record_reload(bool ok) {
-  reloads_.fetch_add(1, std::memory_order_relaxed);
-  if (!ok) reload_failures_.fetch_add(1, std::memory_order_relaxed);
+  (ok ? reloads_ok_ : reloads_failed_)->add();
 }
 
 MetricsSnapshot ServerMetrics::snapshot() const {
@@ -86,33 +76,53 @@ MetricsSnapshot ServerMetrics::snapshot() const {
           .count();
   for (std::size_t i = 0; i < kNumEndpoints; ++i) {
     const PerEndpoint& e = endpoints_[i];
+    const Histogram& latency = *e.latency;
     EndpointSnapshot s;
     s.name = endpoint_name(static_cast<Endpoint>(i));
-    s.requests = e.requests.load(std::memory_order_relaxed);
-    s.errors = e.errors.load(std::memory_order_relaxed);
-    s.p50_us = to_us(e.latency.percentile_ns(0.50));
-    s.p95_us = to_us(e.latency.percentile_ns(0.95));
-    s.p99_us = to_us(e.latency.percentile_ns(0.99));
-    s.sum_ns = e.latency.sum_ns();
-    const std::uint64_t observed = e.latency.total();
+    s.requests = e.requests->value();
+    s.errors = e.errors->value();
+    s.p50_us = to_us(latency.percentile_ns(0.50));
+    s.p95_us = to_us(latency.percentile_ns(0.95));
+    s.p99_us = to_us(latency.percentile_ns(0.99));
+    s.sum_ns = latency.sum_ns();
+    const std::uint64_t observed = latency.total();
     s.mean_us = observed == 0 ? 0.0
                               : to_us(s.sum_ns) /
                                     static_cast<double>(observed);
-    s.min_us = to_us(e.latency.min_ns());
-    s.max_us = to_us(e.latency.max_ns());
-    s.bucket_counts.resize(LatencyHistogram::kBuckets);
-    for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-      s.bucket_counts[b] = e.latency.bucket_count(b);
-    }
+    s.min_us = to_us(latency.min_ns());
+    s.max_us = to_us(latency.max_ns());
     out.total_requests += s.requests;
     out.endpoints.push_back(std::move(s));
   }
-  out.reloads = reloads_.load(std::memory_order_relaxed);
-  out.reload_failures = reload_failures_.load(std::memory_order_relaxed);
+  out.reload_failures = reloads_failed_->value();
+  out.reloads = reloads_ok_->value() + out.reload_failures;
   out.qps = out.uptime_seconds > 0.0
                 ? static_cast<double>(out.total_requests) / out.uptime_seconds
                 : 0.0;
   return out;
+}
+
+std::string ServerMetrics::render_prometheus(const SnapshotShape& shape) {
+  const std::lock_guard<std::mutex> lock(scrape_mutex_);
+  const auto set = [this](const char* name, const char* help, double value) {
+    registry_.gauge(name, help).set(value);
+  };
+  set("gpumine_server_uptime_seconds", "Seconds since the server started",
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
+          .count());
+  set("gpumine_snapshot_db_size", "Transactions in the loaded rule snapshot",
+      static_cast<double>(shape.db_size));
+  set("gpumine_snapshot_items", "Items in the loaded rule snapshot",
+      static_cast<double>(shape.items));
+  set("gpumine_snapshot_itemsets",
+      "Frequent itemsets in the loaded rule snapshot",
+      static_cast<double>(shape.itemsets));
+  set("gpumine_snapshot_rules", "Rules in the loaded rule snapshot",
+      static_cast<double>(shape.rules));
+  set("gpumine_snapshot_keywords_with_rules",
+      "Keywords with at least one rule in the loaded snapshot",
+      static_cast<double>(shape.keywords_with_rules));
+  return registry_.render_prometheus();
 }
 
 std::string MetricsSnapshot::to_json() const {

@@ -1,100 +1,28 @@
 // Server-side observability: per-endpoint request counters and latency
 // histograms, cheap enough to update on every request from any thread.
 //
-// Latencies land in a fixed array of power-of-two nanosecond buckets
-// (bucket i counts latencies with bit_width(ns) == i, i.e. the range
-// [2^(i-1), 2^i)), each an independent relaxed atomic — recording is a
-// clock read plus one fetch_add, with no locks on the serving path.
-// Percentiles are read back as the upper bound of the bucket holding
-// the requested rank: an estimate within 2x of the true latency, which
-// is what a tail-latency gate needs (the bench asserts against these).
-//
-// ServerMetrics aggregates one histogram per endpoint plus error and
-// reload counters; snapshot() returns a consistent-enough copy for
-// /stats (individual counters are exact, cross-counter skew is bounded
-// by in-flight requests).
+// ServerMetrics owns one MetricsRegistry and registers its series in it
+// once, at construction: per-endpoint request and error counters and
+// log2-nanosecond latency histograms (common/metrics.hpp), and reload
+// counters by result. A request is recorded straight into those
+// instruments — relaxed atomics, no locks. A scrape adds the uptime and
+// loaded-snapshot gauges. /metrics renders the registry; /stats reads the same
+// instruments through snapshot(), whose individual counters are exact
+// (cross-counter skew is bounded by in-flight requests). The exported
+// series set is fixed by the endpoint list, hence byte-identical across
+// worker-thread counts.
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/metrics.hpp"
+
 namespace gpumine::serve {
-
-/// Lock-free log2-bucket latency histogram (nanoseconds). Alongside the
-/// bucket counts it tracks the exact sum, min and max, so /metrics can
-/// export a true Prometheus `_sum` and /stats can report the real mean
-/// rather than a 2x-quantized estimate.
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kBuckets = 48;  // up to ~78 hours
-
-  void record(std::uint64_t nanos) {
-    std::size_t bucket = std::bit_width(nanos);
-    if (bucket >= kBuckets) bucket = kBuckets - 1;
-    buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(nanos, std::memory_order_relaxed);
-    update_min(nanos);
-    update_max(nanos);
-  }
-
-  [[nodiscard]] std::uint64_t total() const {
-    std::uint64_t sum = 0;
-    for (const auto& b : buckets_) sum += b.load(std::memory_order_relaxed);
-    return sum;
-  }
-
-  /// Exact sum of all recorded latencies, in nanoseconds.
-  [[nodiscard]] std::uint64_t sum_ns() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  /// Exact smallest recorded latency; 0 when nothing has been recorded.
-  [[nodiscard]] std::uint64_t min_ns() const {
-    const std::uint64_t v = min_.load(std::memory_order_relaxed);
-    return v == kNoMin ? 0 : v;
-  }
-  /// Exact largest recorded latency; 0 when nothing has been recorded.
-  [[nodiscard]] std::uint64_t max_ns() const {
-    return max_.load(std::memory_order_relaxed);
-  }
-
-  /// Raw (non-cumulative) count of bucket `i` — the /metrics exporter
-  /// re-buckets these into Prometheus cumulative `le` buckets.
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-
-  /// Upper bound (in nanoseconds) of the bucket holding the p-quantile
-  /// observation, p in [0, 1]. 0 when nothing has been recorded.
-  [[nodiscard]] std::uint64_t percentile_ns(double p) const;
-
- private:
-  static constexpr std::uint64_t kNoMin = ~std::uint64_t{0};
-
-  void update_min(std::uint64_t nanos) {
-    std::uint64_t cur = min_.load(std::memory_order_relaxed);
-    while (nanos < cur && !min_.compare_exchange_weak(
-                              cur, nanos, std::memory_order_relaxed,
-                              std::memory_order_relaxed)) {
-    }
-  }
-  void update_max(std::uint64_t nanos) {
-    std::uint64_t cur = max_.load(std::memory_order_relaxed);
-    while (nanos > cur && !max_.compare_exchange_weak(
-                              cur, nanos, std::memory_order_relaxed,
-                              std::memory_order_relaxed)) {
-    }
-  }
-
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> min_{kNoMin};
-  std::atomic<std::uint64_t> max_{0};
-};
 
 /// The endpoints the handler distinguishes. Liveness probes (kHealth)
 /// and scrapes (kMetrics) get their own buckets so cheap machine-driven
@@ -125,9 +53,6 @@ struct EndpointSnapshot {
   double min_us = 0.0;
   double max_us = 0.0;
   std::uint64_t sum_ns = 0;
-  // Raw per-bucket counts (LatencyHistogram layout), consumed by the
-  // Prometheus exporter; not part of the /stats JSON.
-  std::vector<std::uint64_t> bucket_counts;
 };
 
 struct MetricsSnapshot {
@@ -142,9 +67,22 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// Shape of the currently loaded rule snapshot, exported as gauges.
+struct SnapshotShape {
+  std::uint64_t db_size = 0;
+  std::uint64_t items = 0;
+  std::uint64_t itemsets = 0;
+  std::uint64_t rules = 0;
+  std::uint64_t keywords_with_rules = 0;
+};
+
+/// Content type for the /metrics response.
+inline constexpr const char* kPrometheusContentType =
+    "text/plain; version=0.0.4; charset=utf-8";
+
 class ServerMetrics {
  public:
-  ServerMetrics() : start_(std::chrono::steady_clock::now()) {}
+  ServerMetrics();
 
   /// Records one finished request: endpoint, HTTP status, wall time.
   void record(Endpoint endpoint, int status, std::uint64_t nanos);
@@ -153,17 +91,23 @@ class ServerMetrics {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
+  /// The /metrics body (text exposition format 0.0.4): every registered
+  /// series, with the uptime and `shape` gauges set at scrape time.
+  [[nodiscard]] std::string render_prometheus(const SnapshotShape& shape);
+
  private:
   struct PerEndpoint {
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> errors{0};
-    LatencyHistogram latency;
+    Counter* requests = nullptr;
+    Counter* errors = nullptr;  // non-2xx responses
+    Histogram* latency = nullptr;
   };
 
+  MetricsRegistry registry_;
   std::chrono::steady_clock::time_point start_;
   std::array<PerEndpoint, kNumEndpoints> endpoints_{};
-  std::atomic<std::uint64_t> reloads_{0};
-  std::atomic<std::uint64_t> reload_failures_{0};
+  Counter* reloads_ok_ = nullptr;
+  Counter* reloads_failed_ = nullptr;
+  std::mutex scrape_mutex_;  // one scrape sets the gauges and renders
 };
 
 }  // namespace gpumine::serve

@@ -30,7 +30,6 @@ TEST(WorkflowEquivalence, SameRulesForEveryAlgorithm) {
   };
 
   const std::string fp = render(core::Algorithm::kFpGrowth);
-  EXPECT_EQ(fp, render(core::Algorithm::kApriori));
   EXPECT_EQ(fp, render(core::Algorithm::kEclat));
 }
 

@@ -102,12 +102,12 @@ TEST(Mine, FindsTheObviousAssociation) {
 TEST(Mine, AlgorithmChoiceDoesNotChangeResults) {
   auto cfg = toy_config();
   const auto fp = mine(toy_table(), cfg);
-  cfg.algorithm = core::Algorithm::kApriori;
-  const auto ap = mine(toy_table(), cfg);
-  ASSERT_EQ(fp.mined.itemsets.size(), ap.mined.itemsets.size());
+  cfg.algorithm = core::Algorithm::kEclat;
+  const auto ec = mine(toy_table(), cfg);
+  ASSERT_EQ(fp.mined.itemsets.size(), ec.mined.itemsets.size());
   for (std::size_t i = 0; i < fp.mined.itemsets.size(); ++i) {
-    EXPECT_EQ(fp.mined.itemsets[i].items, ap.mined.itemsets[i].items);
-    EXPECT_EQ(fp.mined.itemsets[i].count, ap.mined.itemsets[i].count);
+    EXPECT_EQ(fp.mined.itemsets[i].items, ec.mined.itemsets[i].items);
+    EXPECT_EQ(fp.mined.itemsets[i].count, ec.mined.itemsets[i].count);
   }
 }
 

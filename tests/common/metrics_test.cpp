@@ -1,11 +1,13 @@
-// Metrics registry + Prometheus exposition: instrument semantics,
-// deterministic snapshots under concurrent registration, and the
-// self-contained exposition lint that serve --check / metrics-check run.
+// Metrics registry + Prometheus exposition: instrument semantics (the
+// log2-nanosecond Histogram included), deterministic snapshots under
+// concurrent registration, and the self-contained exposition lint that
+// serve --check / metrics-check run.
 #include "common/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,9 +31,86 @@ TEST(Gauge, LastWriteWins) {
   EXPECT_DOUBLE_EQ(g.value(), -2.5);
 }
 
+TEST(LatencyHistogram, EmptyReportsZero) {
+  Histogram histogram;
+  EXPECT_EQ(histogram.total(), 0u);
+  EXPECT_EQ(histogram.percentile_ns(0.5), 0u);
+  EXPECT_EQ(histogram.percentile_ns(0.99), 0u);
+}
+
+TEST(LatencyHistogram, PercentileIsTheBucketUpperBound) {
+  Histogram histogram;
+  histogram.record(1000);  // bit_width 10 -> bucket upper bound 1023
+  EXPECT_EQ(histogram.total(), 1u);
+  EXPECT_EQ(histogram.percentile_ns(0.5), 1023u);
+  EXPECT_EQ(histogram.percentile_ns(1.0), 1023u);
+}
+
+TEST(LatencyHistogram, TailLandsInTheSlowBucket) {
+  Histogram histogram;
+  for (int i = 0; i < 90; ++i) histogram.record(100);    // ub 127
+  for (int i = 0; i < 10; ++i) histogram.record(900000); // ub 1048575
+  EXPECT_EQ(histogram.total(), 100u);
+  EXPECT_EQ(histogram.percentile_ns(0.50), 127u);
+  EXPECT_EQ(histogram.percentile_ns(0.90), 127u);
+  EXPECT_EQ(histogram.percentile_ns(0.95), 1048575u);
+  EXPECT_EQ(histogram.percentile_ns(0.99), 1048575u);
+}
+
+TEST(LatencyHistogram, ExtremeValuesClampToTheLastBucket) {
+  Histogram histogram;
+  histogram.record(0);
+  EXPECT_EQ(histogram.percentile_ns(0.5), 0u);
+  histogram.record(~std::uint64_t{0});
+  EXPECT_EQ(histogram.percentile_ns(1.0),
+            (std::uint64_t{1} << (Histogram::kBuckets - 1)) - 1);
+}
+
+TEST(LatencyHistogram, TracksExactSumMinMax) {
+  Histogram histogram;
+  EXPECT_EQ(histogram.sum_ns(), 0u);
+  EXPECT_EQ(histogram.min_ns(), 0u);  // empty: min reports 0
+  EXPECT_EQ(histogram.max_ns(), 0u);
+  histogram.record(700);
+  histogram.record(100);
+  histogram.record(900000);
+  EXPECT_EQ(histogram.sum_ns(), 900800u);
+  EXPECT_EQ(histogram.min_ns(), 100u);
+  EXPECT_EQ(histogram.max_ns(), 900000u);
+}
+
+TEST(LatencyHistogram, SingleSampleSumEqualsValue) {
+  Histogram histogram;
+  histogram.record(12345);
+  EXPECT_EQ(histogram.sum_ns(), 12345u);
+  EXPECT_EQ(histogram.min_ns(), 12345u);
+  EXPECT_EQ(histogram.max_ns(), 12345u);
+}
+
+TEST(LatencyHistogram, BucketCountsExposeTheRawDistribution) {
+  Histogram histogram;
+  histogram.record(100);  // bit_width 7 -> bucket 7
+  histogram.record(100);
+  histogram.record(~std::uint64_t{0});  // clamps to the top bucket
+  EXPECT_EQ(histogram.bucket_count(7), 2u);
+  EXPECT_EQ(histogram.bucket_count(Histogram::kBuckets - 1), 1u);
+}
+
+TEST(LatencyHistogram, ConcurrentRecordsAllLand) {
+  Histogram histogram;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 1000; ++i) histogram.record(500);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(histogram.total(), 4000u);
+}
+
 TEST(RegistryHistogram, EmptyRendersZeroCountAndSum) {
   MetricsRegistry registry;
-  registry.histogram("test_seconds", "help", {0.1, 1.0});
+  registry.histogram("test_seconds", "help");
   const std::string text = registry.render_prometheus();
   EXPECT_NE(text.find("test_seconds_count 0"), std::string::npos) << text;
   EXPECT_NE(text.find("test_seconds_sum 0"), std::string::npos) << text;
@@ -43,15 +122,21 @@ TEST(RegistryHistogram, EmptyRendersZeroCountAndSum) {
 
 TEST(RegistryHistogram, SingleSampleLandsInItsBucketAndAllAbove) {
   MetricsRegistry registry;
-  Histogram& h = registry.histogram("test_seconds", "help", {0.1, 1.0});
-  h.observe(0.5);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5);
+  Histogram& h = registry.histogram("test_seconds", "help");
+  h.record(500);  // bit_width 9 -> bucket upper bound 511 ns
+  EXPECT_EQ(h.total(), 1u);
+  EXPECT_EQ(h.sum_ns(), 500u);
   const std::string text = registry.render_prometheus();
-  EXPECT_NE(text.find("test_seconds_bucket{le=\"0.1\"} 0"), std::string::npos)
+  EXPECT_NE(text.find("test_seconds_bucket{le=\"2.55e-07\"} 0"),
+            std::string::npos)
       << text;
-  EXPECT_NE(text.find("test_seconds_bucket{le=\"1\"} 1"), std::string::npos)
+  EXPECT_NE(text.find("test_seconds_bucket{le=\"5.11e-07\"} 1"),
+            std::string::npos)
       << text;
+  EXPECT_NE(text.find("test_seconds_bucket{le=\"1.023e-06\"} 1"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("test_seconds_sum 5e-07"), std::string::npos) << text;
   EXPECT_NE(text.find("test_seconds_bucket{le=\"+Inf\"} 1"),
             std::string::npos)
       << text;
@@ -59,20 +144,24 @@ TEST(RegistryHistogram, SingleSampleLandsInItsBucketAndAllAbove) {
 
 TEST(RegistryHistogram, BoundIsLeInclusive) {
   MetricsRegistry registry;
-  Histogram& h = registry.histogram("test_seconds", "help", {0.1, 1.0});
-  h.observe(0.1);  // exactly the first bound: le-inclusive
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(1), 0u);
+  Histogram& h = registry.histogram("test_seconds", "help");
+  h.record(Histogram::bucket_upper_ns(10));  // exactly a bound: le-inclusive
+  EXPECT_EQ(h.bucket_count(10), 1u);
+  EXPECT_EQ(h.bucket_count(11), 0u);
+  h.record(Histogram::bucket_upper_ns(10) + 1);
+  EXPECT_EQ(h.bucket_count(11), 1u);
 }
 
 TEST(RegistryHistogram, OverflowSaturatesIntoTheInfBucket) {
   MetricsRegistry registry;
-  Histogram& h = registry.histogram("test_seconds", "help", {0.1, 1.0});
-  h.observe(1e12);
-  h.observe(1e12);
-  EXPECT_EQ(h.bucket_count(2), 2u);  // bounds.size() == +Inf slot
+  Histogram& h = registry.histogram("test_seconds", "help");
+  h.record(std::uint64_t{1} << 50);
+  h.record(std::uint64_t{1} << 50);
+  EXPECT_EQ(h.bucket_count(Histogram::kBuckets - 1), 2u);  // the +Inf slot
   const std::string text = registry.render_prometheus();
-  EXPECT_NE(text.find("test_seconds_bucket{le=\"1\"} 0"), std::string::npos)
+  // The highest finite bound, (2^46 - 1) ns.
+  EXPECT_NE(text.find("test_seconds_bucket{le=\"70368.744177663\"} 0"),
+            std::string::npos)
       << text;
   EXPECT_NE(text.find("test_seconds_bucket{le=\"+Inf\"} 2"),
             std::string::npos)
@@ -96,20 +185,6 @@ TEST(MetricsRegistry, LabelOrderDoesNotSplitSeries) {
   EXPECT_EQ(&a, &b);
 }
 
-TEST(MetricsRegistry, CollectorsRunAtSnapshotTime) {
-  MetricsRegistry registry;
-  Gauge& g = registry.gauge("t_gauge", "h");
-  int calls = 0;
-  registry.add_collector([&] {
-    ++calls;
-    g.set(7.0);
-  });
-  const auto snapshot = registry.snapshot();
-  EXPECT_EQ(calls, 1);
-  ASSERT_EQ(snapshot.families.size(), 1u);
-  EXPECT_DOUBLE_EQ(snapshot.families[0].series[0].value, 7.0);
-}
-
 // The determinism bar from the issue: 8 threads registering overlapping
 // families in racing order must yield the same rendered series set as a
 // single thread doing the same work.
@@ -125,9 +200,9 @@ TEST(MetricsRegistry, ConcurrentRegistrationRendersDeterministically) {
                  {{"worker", std::to_string((t * 3 + i) % 8)}})
           .set(1.0);
       registry
-          .histogram("det_seconds", "racing histogram", {0.5},
+          .histogram("det_seconds", "racing histogram",
                      {{"worker", std::to_string(i % 8)}})
-          .observe(0.25);
+          .record(250);
     }
   };
 
@@ -146,19 +221,19 @@ TEST(MetricsRegistry, ConcurrentRegistrationRendersDeterministically) {
   EXPECT_EQ(a, b);
   const auto linted = validate_prometheus_text(a);
   ASSERT_TRUE(linted.ok()) << linted.error().to_string();
-  // 8 counters + 8 gauges + 8 histograms x (2 buckets + sum + count).
-  EXPECT_EQ(linted.value(), 48u);
+  // 8 counters + 8 gauges + 8 histograms x (48 buckets + sum + count).
+  EXPECT_EQ(linted.value(), 416u);
 }
 
 TEST(PrometheusLint, AcceptsARenderedRegistry) {
   MetricsRegistry registry;
   registry.counter("ok_total", "a counter", {{"kind", "x"}}).add(3);
   registry.gauge("ok_gauge", "a gauge").set(1.25);
-  registry.histogram("ok_seconds", "a histogram", {0.1, 1.0}).observe(0.2);
+  registry.histogram("ok_seconds", "a histogram").record(200000);
   const auto linted = validate_prometheus_text(registry.render_prometheus());
   ASSERT_TRUE(linted.ok()) << linted.error().to_string();
-  // Histogram samples count per line: 3 buckets + sum + count.
-  EXPECT_EQ(linted.value(), 7u);
+  // Histogram samples count per line: 48 buckets + sum + count.
+  EXPECT_EQ(linted.value(), 52u);
 }
 
 TEST(PrometheusLint, RejectsSamplesWithoutHelpOrType) {

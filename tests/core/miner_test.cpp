@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "mining_test_util.hpp"
 
 namespace gpumine::core {
@@ -9,7 +11,6 @@ namespace {
 
 TEST(Miner, AlgorithmNames) {
   EXPECT_EQ(to_string(Algorithm::kFpGrowth), "fpgrowth");
-  EXPECT_EQ(to_string(Algorithm::kApriori), "apriori");
   EXPECT_EQ(to_string(Algorithm::kEclat), "eclat");
 }
 
@@ -18,11 +19,11 @@ TEST(Miner, DispatchesToAllAlgorithms) {
                                       /*num_items=*/8);
   MiningParams params;
   params.min_support = 0.1;
-  const auto fp = mine_frequent(db, params, Algorithm::kFpGrowth);
-  const auto ap = mine_frequent(db, params, Algorithm::kApriori);
-  const auto ec = mine_frequent(db, params, Algorithm::kEclat);
-  testutil::expect_same(ap.itemsets, fp.itemsets);
-  testutil::expect_same(ec.itemsets, fp.itemsets);
+  const auto oracle = testutil::brute_force(db, params);
+  testutil::expect_same(
+      mine_frequent(db, params, Algorithm::kFpGrowth).itemsets, oracle);
+  testutil::expect_same(mine_frequent(db, params, Algorithm::kEclat).itemsets,
+                        oracle);
 }
 
 TEST(Miner, AnalyzeKeywordSplitsCauseAndCharacteristic) {
@@ -42,6 +43,48 @@ TEST(Miner, AnalyzeKeywordSplitsCauseAndCharacteristic) {
   EXPECT_EQ(analysis.cause[0].antecedent, Itemset{0});
   EXPECT_EQ(analysis.characteristic[0].antecedent, Itemset{5});
   EXPECT_NEAR(analysis.cause[0].lift, 2.5, 1e-9);
+}
+
+TEST(Miner, InvalidParamsThrowForEveryAlgorithm) {
+  const auto db = testutil::make_db({{0}});
+  for (const Algorithm algorithm : {Algorithm::kFpGrowth, Algorithm::kEclat}) {
+    MiningParams bad;
+    bad.min_support = 0.0;
+    EXPECT_THROW((void)mine_frequent(db, bad, algorithm),
+                 std::invalid_argument);
+    bad.min_support = 1.5;
+    EXPECT_THROW((void)mine_frequent(db, bad, algorithm),
+                 std::invalid_argument);
+    bad.min_support = 0.5;
+    bad.max_length = 0;
+    EXPECT_THROW((void)mine_frequent(db, bad, algorithm),
+                 std::invalid_argument);
+  }
+}
+
+TEST(MiningParams, MinCountRounding) {
+  MiningParams params;
+  params.min_support = 0.05;
+  EXPECT_EQ(params.min_count(100), 5u);
+  EXPECT_EQ(params.min_count(99), 5u);   // ceil(4.95)
+  EXPECT_EQ(params.min_count(101), 6u);  // ceil(5.05)
+  params.min_support = 1.0;
+  EXPECT_EQ(params.min_count(7), 7u);
+  params.min_support = 1e-12;
+  EXPECT_EQ(params.min_count(10), 1u);  // at least one transaction
+}
+
+TEST(MiningParams, MinCountOverrideWinsUnconditionally) {
+  MiningParams params;
+  params.min_support = 0.05;
+  params.min_count_override = 7;
+  // The fraction would give 5 over 100; the absolute count wins, and no
+  // float round trip is involved: 7 over total weight 25 stays 7 (the
+  // fraction route computes ceil((7/25) * 25) == 8 under FP rounding).
+  EXPECT_EQ(params.min_count(100), 7u);
+  EXPECT_EQ(params.min_count(25), 7u);
+  params.min_count_override = 0;  // 0 = disabled, back to the fraction
+  EXPECT_EQ(params.min_count(100), 5u);
 }
 
 TEST(Miner, AnalyzeKeywordWithNoRules) {

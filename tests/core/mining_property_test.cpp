@@ -1,14 +1,14 @@
-// Property-based cross-validation of the three mining algorithms.
+// Property-based cross-validation of the mining algorithms.
 //
 // Over a parameterized sweep of random databases and thresholds:
-//  * FP-Growth == Apriori == Eclat == brute-force oracle (exact counts);
+//  * FP-Growth == Eclat == brute-force oracle (exact counts), on the
+//    expanded database and on its weighted deduplication;
 //  * anti-monotonicity: supersets never out-support subsets;
 //  * thresholds are respected exactly at the boundary.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
-#include "core/apriori.hpp"
 #include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
 #include "mining_test_util.hpp"
@@ -39,8 +39,22 @@ TEST_P(MiningSweep, AllAlgorithmsAgreeWithOracle) {
 
   const auto oracle = brute_force(db, params);
   expect_same(mine_fpgrowth(db, params).itemsets, oracle);
-  expect_same(mine_apriori(db, params).itemsets, oracle);
   expect_same(mine_eclat(db, params).itemsets, oracle);
+}
+
+TEST_P(MiningSweep, DeduplicatedDatabaseAgreesWithOracle) {
+  const SweepCase& c = GetParam();
+  const auto db = random_db(c.seed, c.num_txns, c.num_items);
+  const auto deduped = db.dedup();
+  ASSERT_TRUE(deduped.weighted()) << "no duplicate rows to fold";
+  MiningParams params;
+  params.min_support = c.min_support;
+  params.max_length = c.max_length;
+
+  const auto oracle = brute_force(db, params);
+  expect_same(brute_force(deduped, params), oracle);
+  expect_same(mine_fpgrowth(deduped, params).itemsets, oracle);
+  expect_same(mine_eclat(deduped, params).itemsets, oracle);
 }
 
 TEST_P(MiningSweep, AntiMonotonicity) {

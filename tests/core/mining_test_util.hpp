@@ -23,10 +23,12 @@ inline TransactionDb make_db(
 
 /// Exhaustive oracle: enumerates every subset of every transaction up to
 /// max_length, counts supports with the scan oracle, and keeps the
-/// frequent ones. Exponential — only for tiny databases.
+/// frequent ones. The threshold is taken over total_weight(), as the
+/// miners do, so a deduplicated database gives the same answer as its
+/// expansion. Exponential — only for tiny databases.
 inline std::vector<FrequentItemset> brute_force(const TransactionDb& db,
                                                 const MiningParams& params) {
-  const std::uint64_t min_count = params.min_count(db.size());
+  const std::uint64_t min_count = params.min_count(db.total_weight());
   std::vector<Itemset> candidates;
   for (std::size_t t = 0; t < db.size(); ++t) {
     const auto txn = db[t];

@@ -1,9 +1,9 @@
 // Weighted (deduplicated) transactions must be observationally
 // equivalent to the expanded database: TransactionDb::dedup() folds
 // identical rows into multiplicities, support math runs over
-// total_weight(), and every miner — FP-Growth, Eclat, Apriori,
-// partitioned — plus rule generation must produce byte-identical
-// results on the weighted form, at any thread count.
+// total_weight(), and every miner — FP-Growth, Eclat, partitioned —
+// plus rule generation must produce byte-identical results on the
+// weighted form, at any thread count.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,7 +14,6 @@
 
 #include "analysis/trace_configs.hpp"
 #include "analysis/workflow.hpp"
-#include "core/apriori.hpp"
 #include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
 #include "core/rules.hpp"
@@ -140,9 +139,6 @@ void check_weighted_equivalence(const EncodedTrace& trace, const char* label) {
               expected)
         << label << " eclat threads=" << threads;
   }
-  EXPECT_EQ(archive_bytes(mine_apriori(deduped, base), trace.catalog),
-            expected)
-      << label << " apriori";
 
   // Rule metrics divide by db_size == total_weight, so they must be
   // bit-identical too.

@@ -3,88 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace gpumine::serve {
 namespace {
-
-TEST(LatencyHistogram, EmptyReportsZero) {
-  LatencyHistogram histogram;
-  EXPECT_EQ(histogram.total(), 0u);
-  EXPECT_EQ(histogram.percentile_ns(0.5), 0u);
-  EXPECT_EQ(histogram.percentile_ns(0.99), 0u);
-}
-
-TEST(LatencyHistogram, PercentileIsTheBucketUpperBound) {
-  LatencyHistogram histogram;
-  histogram.record(1000);  // bit_width 10 -> bucket upper bound 1023
-  EXPECT_EQ(histogram.total(), 1u);
-  EXPECT_EQ(histogram.percentile_ns(0.5), 1023u);
-  EXPECT_EQ(histogram.percentile_ns(1.0), 1023u);
-}
-
-TEST(LatencyHistogram, TailLandsInTheSlowBucket) {
-  LatencyHistogram histogram;
-  for (int i = 0; i < 90; ++i) histogram.record(100);    // ub 127
-  for (int i = 0; i < 10; ++i) histogram.record(900000); // ub 1048575
-  EXPECT_EQ(histogram.total(), 100u);
-  EXPECT_EQ(histogram.percentile_ns(0.50), 127u);
-  EXPECT_EQ(histogram.percentile_ns(0.90), 127u);
-  EXPECT_EQ(histogram.percentile_ns(0.95), 1048575u);
-  EXPECT_EQ(histogram.percentile_ns(0.99), 1048575u);
-}
-
-TEST(LatencyHistogram, ExtremeValuesClampToTheLastBucket) {
-  LatencyHistogram histogram;
-  histogram.record(0);
-  EXPECT_EQ(histogram.percentile_ns(0.5), 0u);
-  histogram.record(~std::uint64_t{0});
-  EXPECT_EQ(histogram.percentile_ns(1.0),
-            (std::uint64_t{1} << (LatencyHistogram::kBuckets - 1)) - 1);
-}
-
-TEST(LatencyHistogram, TracksExactSumMinMax) {
-  LatencyHistogram histogram;
-  EXPECT_EQ(histogram.sum_ns(), 0u);
-  EXPECT_EQ(histogram.min_ns(), 0u);  // empty: min reports 0
-  EXPECT_EQ(histogram.max_ns(), 0u);
-  histogram.record(700);
-  histogram.record(100);
-  histogram.record(900000);
-  EXPECT_EQ(histogram.sum_ns(), 900800u);
-  EXPECT_EQ(histogram.min_ns(), 100u);
-  EXPECT_EQ(histogram.max_ns(), 900000u);
-}
-
-TEST(LatencyHistogram, SingleSampleSumEqualsValue) {
-  LatencyHistogram histogram;
-  histogram.record(12345);
-  EXPECT_EQ(histogram.sum_ns(), 12345u);
-  EXPECT_EQ(histogram.min_ns(), 12345u);
-  EXPECT_EQ(histogram.max_ns(), 12345u);
-}
-
-TEST(LatencyHistogram, BucketCountsExposeTheRawDistribution) {
-  LatencyHistogram histogram;
-  histogram.record(100);  // bit_width 7 -> bucket 7
-  histogram.record(100);
-  histogram.record(~std::uint64_t{0});  // clamps to the top bucket
-  EXPECT_EQ(histogram.bucket_count(7), 2u);
-  EXPECT_EQ(histogram.bucket_count(LatencyHistogram::kBuckets - 1), 1u);
-}
-
-TEST(LatencyHistogram, ConcurrentRecordsAllLand) {
-  LatencyHistogram histogram;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 1000; ++i) histogram.record(500);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(histogram.total(), 4000u);
-}
 
 TEST(ServerMetrics, CountsRequestsErrorsAndReloads) {
   ServerMetrics metrics;
@@ -112,8 +33,6 @@ TEST(ServerMetrics, CountsRequestsErrorsAndReloads) {
   EXPECT_DOUBLE_EQ(snapshot.endpoints[0].mean_us, 1.5);
   EXPECT_DOUBLE_EQ(snapshot.endpoints[0].min_us, 1.0);
   EXPECT_DOUBLE_EQ(snapshot.endpoints[0].max_us, 2.0);
-  EXPECT_EQ(snapshot.endpoints[0].bucket_counts.size(),
-            LatencyHistogram::kBuckets);
 }
 
 TEST(ServerMetrics, JsonCarriesEveryEndpoint) {
