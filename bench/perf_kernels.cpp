@@ -4,19 +4,14 @@
 // rescan of the result — on the scaled PAI trace (google-benchmark).
 //
 // Doubles as the CI bench-smoke for the kernel layer, emitting one
-// BENCH_*.json trajectory record and enforcing two gates:
-//
-//   * micro: the dispatched dense kernel must clear 3x the baseline's
-//     intersection throughput on the trace's densest tid-lists;
-//   * end-to-end: mine_eclat (bitmaps + diffsets + fused weights) must
-//     clear 1.3x an embedded legacy Eclat — the exact algorithm the
-//     engine ran before the kernel layer existed, serial
-//     std::set_intersection extension with per-result weight rescans.
-//
-// Both run serially, so the gates measure kernels, not scheduling.
-// Along the way every supported kernel tier x {1, 8} threads must
-// reproduce the legacy miner's byte-exact itemsets — a perf win that
-// changes output would be a bug, not a win.
+// BENCH_*.json trajectory record and enforcing one gate: the dispatched
+// dense kernel must clear 3x the baseline's intersection throughput on
+// the trace's densest tid-lists, run serially so the gate measures
+// kernels, not scheduling. Along the way SON pass 2 (the kernels'
+// production user, core/partitioned.hpp) must reproduce serial
+// FP-Growth's byte-exact itemsets under every supported kernel tier x
+// {1, 8} threads — a perf win that changes output would be a bug, not
+// a win.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -33,7 +28,8 @@
 #include "bench_util.hpp"
 #include "common/arena.hpp"
 #include "common/simd.hpp"
-#include "core/eclat.hpp"
+#include "core/fpgrowth.hpp"
+#include "core/partitioned.hpp"
 #include "core/serialize.hpp"
 #include "core/tidset.hpp"
 #include "core/transaction_db.hpp"
@@ -49,78 +45,6 @@ core::TransactionDb make_trace_db(std::size_t num_jobs) {
   const auto prepared = analysis::prepare(synth::generate_pai(config).merged(),
                                           analysis::pai_config());
   return prepared.db.dedup();
-}
-
-// ---------------------------------------------------------------------
-// Legacy vertical miner: the pre-kernel-layer Eclat. Sorted uint32
-// tid-lists, std::set_intersection per class extension, and the support
-// recomputed by rescanning the freshly built list against the weight
-// table. Kept verbatim as the baseline both gates compare against.
-
-struct LegacyNode {
-  core::ItemId item;
-  std::vector<std::uint32_t> tids;
-  std::uint64_t count = 0;
-};
-
-std::uint64_t legacy_weight_of(const std::vector<std::uint32_t>& tids,
-                               const std::vector<std::uint64_t>& weights) {
-  if (weights.empty()) return tids.size();
-  std::uint64_t count = 0;
-  for (const std::uint32_t t : tids) count += weights[t];
-  return count;
-}
-
-void legacy_mine_class(const std::vector<LegacyNode>& klass,
-                       const core::Itemset& prefix, std::uint64_t min_count,
-                       std::size_t max_length,
-                       const std::vector<std::uint64_t>& weights,
-                       std::vector<core::FrequentItemset>& out) {
-  for (std::size_t i = 0; i < klass.size(); ++i) {
-    const LegacyNode& node = klass[i];
-    core::Itemset extended = prefix;
-    extended.push_back(node.item);
-    core::canonicalize(extended);
-    out.push_back({extended, node.count});
-    if (extended.size() >= max_length) continue;
-
-    std::vector<LegacyNode> next;
-    for (std::size_t j = i + 1; j < klass.size(); ++j) {
-      const LegacyNode& sibling = klass[j];
-      LegacyNode child;
-      child.item = sibling.item;
-      std::set_intersection(node.tids.begin(), node.tids.end(),
-                            sibling.tids.begin(), sibling.tids.end(),
-                            std::back_inserter(child.tids));
-      child.count = legacy_weight_of(child.tids, weights);
-      if (child.count >= min_count) next.push_back(std::move(child));
-    }
-    if (!next.empty()) {
-      legacy_mine_class(next, extended, min_count, max_length, weights, out);
-    }
-  }
-}
-
-core::MiningResult legacy_eclat(const core::TransactionDb& db,
-                                const core::MiningParams& params) {
-  core::MiningResult result;
-  result.db_size = db.total_weight();
-  if (db.empty()) return result;
-  const std::uint64_t min_count = params.min_count(db.total_weight());
-  const core::RankEncoding enc =
-      core::rank_encode(db, min_count, /*with_tids=*/true);
-  std::vector<LegacyNode> root;
-  root.reserve(enc.num_ranks());
-  for (std::uint32_t r = 0; r < enc.num_ranks(); ++r) {
-    const auto tids = enc.tidlist(r);
-    root.push_back({enc.item_of_rank[r],
-                    std::vector<std::uint32_t>(tids.begin(), tids.end()),
-                    enc.count_of_rank[r]});
-  }
-  legacy_mine_class(root, {}, min_count, params.max_length, enc.weights,
-                    result.itemsets);
-  core::sort_canonical(result.itemsets);
-  return result;
 }
 
 std::string itemset_bytes(const core::MiningResult& result) {
@@ -214,25 +138,26 @@ int run_bench_smoke(const char* path, long pr, const char* commit,
   }
   const double micro_speedup = baseline_ms / kernel_ms;
 
-  // Equivalence sweep: every tier x thread count reproduces the legacy
-  // miner's bytes.
-  const auto legacy = legacy_eclat(db, mining);
-  if (legacy.itemsets.empty()) {
-    std::fprintf(stderr, "FAIL: legacy eclat mined no itemsets\n");
+  // Equivalence sweep: SON pass 2 under every tier x thread count
+  // reproduces serial FP-Growth's bytes.
+  const auto reference = core::mine_fpgrowth(db, mining);
+  if (reference.itemsets.empty()) {
+    std::fprintf(stderr, "FAIL: fpgrowth mined no itemsets\n");
     return 1;
   }
-  const std::string expected = itemset_bytes(legacy);
+  const std::string expected = itemset_bytes(reference);
   for (const KernelTier tier :
        {KernelTier::kScalar, KernelTier::kWord, KernelTier::kAvx2}) {
     if (!kernel_tier_supported(tier)) continue;
     force_kernel_tier(tier);
     for (const std::size_t threads : {1u, 8u}) {
-      core::MiningParams p = mining;
+      core::PartitionedParams p;
+      p.mining = mining;
       p.num_threads = threads;
-      if (itemset_bytes(core::mine_eclat(db, p)) != expected) {
+      if (itemset_bytes(core::mine_partitioned(db, p)) != expected) {
         clear_forced_kernel_tier();
         std::fprintf(stderr,
-                     "FAIL: eclat diverged from legacy at tier=%s "
+                     "FAIL: SON pass 2 diverged from fpgrowth at tier=%s "
                      "threads=%zu\n",
                      kernel_tier_name(tier), threads);
         return 1;
@@ -241,27 +166,11 @@ int run_bench_smoke(const char* path, long pr, const char* commit,
   }
   clear_forced_kernel_tier();
 
-  // End-to-end gate, both serial: kernels vs the legacy miner.
-  const double legacy_ms = bench::best_of_ms(
-      [&] { benchmark::DoNotOptimize(legacy_eclat(db, mining)); });
-  core::MiningResult mined;
-  const double eclat_ms = bench::best_of_ms(
-      [&] { mined = core::mine_eclat(db, mining); });
-  const double eclat_speedup = legacy_ms / eclat_ms;
-  const core::KernelMetrics& k = mined.metrics.kernel_stage;
-
   if (micro_speedup < 3.0) {
     std::fprintf(stderr,
                  "FAIL: dense kernel speedup x%.2f over set_intersection "
                  "is below the 3x gate\n",
                  micro_speedup);
-    return 1;
-  }
-  if (eclat_speedup < 1.3) {
-    std::fprintf(stderr,
-                 "FAIL: eclat speedup x%.2f over the legacy miner is "
-                 "below the 1.3x gate\n",
-                 eclat_speedup);
     return 1;
   }
 
@@ -274,19 +183,15 @@ int run_bench_smoke(const char* path, long pr, const char* commit,
       out,
       "{\"pr\":%ld,\"commit\":\"%s\",\"tier\":\"%s\",\"jobs\":%zu,"
       "\"micro_baseline_ms\":%.4f,\"micro_kernel_ms\":%.4f,"
-      "\"micro_speedup\":%.2f,\"legacy_eclat_ms\":%.3f,\"eclat_ms\":%.3f,"
-      "\"eclat_speedup\":%.2f,\"diffset_switches\":%llu}\n",
-      pr, commit, k.tier.c_str(), jobs, baseline_ms, kernel_ms, micro_speedup,
-      legacy_ms, eclat_ms, eclat_speedup,
-      static_cast<unsigned long long>(k.diffset_switches));
+      "\"micro_speedup\":%.2f}\n",
+      pr, commit, kernel_tier_name(ops.tier()), jobs, baseline_ms, kernel_ms,
+      micro_speedup);
   std::fclose(out);
   std::printf(
       "bench-smoke: tier %s, dense intersect %.4f ms vs %.4f ms baseline "
-      "(x%.2f), eclat %.3f ms vs %.3f ms legacy (x%.2f), %llu diffset "
-      "switches -> %s\n",
-      k.tier.c_str(), kernel_ms, baseline_ms, micro_speedup, eclat_ms,
-      legacy_ms, eclat_speedup,
-      static_cast<unsigned long long>(k.diffset_switches), path);
+      "(x%.2f) -> %s\n",
+      kernel_tier_name(ops.tier()), kernel_ms, baseline_ms, micro_speedup,
+      path);
   return 0;
 }
 
@@ -334,26 +239,6 @@ BENCHMARK(BM_DenseIntersect)
     ->Arg(static_cast<int>(KernelTier::kWord))
     ->Arg(static_cast<int>(KernelTier::kAvx2))
     ->Unit(benchmark::kMicrosecond);
-
-void BM_EclatKernels(benchmark::State& state) {
-  const core::TransactionDb db = make_trace_db(20000);
-  core::MiningParams mining = analysis::pai_config().mining;
-  mining.num_threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::mine_eclat(db, mining));
-  }
-}
-BENCHMARK(BM_EclatKernels)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_LegacyEclat(benchmark::State& state) {
-  const core::TransactionDb db = make_trace_db(20000);
-  core::MiningParams mining = analysis::pai_config().mining;
-  mining.num_threads = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(legacy_eclat(db, mining));
-  }
-}
-BENCHMARK(BM_LegacyEclat)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

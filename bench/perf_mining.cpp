@@ -1,8 +1,6 @@
-// Performance comparison of the frequent-itemset miners plus the
-// downstream rule-generation and pruning stages (google-benchmark).
-//
-// Supports the paper's Sec. III-C choice of FP-Growth, which compresses
-// the database once, against the vertical-layout Eclat baseline.
+// Performance of the frequent-itemset miners (FP-Growth, serial and
+// parallel, and the partitioned SON engine) plus the downstream
+// rule-generation and pruning stages (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,7 +10,6 @@
 #include <string_view>
 #include <thread>
 
-#include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
 #include "core/partitioned.hpp"
 #include "core/pruning.hpp"
@@ -227,20 +224,6 @@ BENCHMARK(BM_FpGrowthParallel)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Eclat(benchmark::State& state) {
-  const auto db = make_db(static_cast<std::size_t>(state.range(0)), 36,
-                          static_cast<double>(state.range(1)) / 100.0, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::mine_eclat(db, params()));
-  }
-}
-BENCHMARK(BM_Eclat)
-    ->Args({2000, 25})
-    ->Args({2000, 45})
-    ->Args({10000, 25})
-    ->Args({10000, 45})
     ->Unit(benchmark::kMillisecond);
 
 void BM_PartitionedSon(benchmark::State& state) {

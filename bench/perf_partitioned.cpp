@@ -185,8 +185,8 @@ int run_bench_smoke(const char* path, long pr, const char* commit,
 
   // Acceptance gate: indexed parallel verification must clear 1.5x over
   // the serial subset scan at 8 threads. It holds even on a single-core
-  // runner because the candidate trie shares prefix work across
-  // candidates and the scan runs over deduplicated rows — wins on
+  // runner because each candidate's count is a tid-set intersection
+  // over deduplicated rows instead of a per-row subset test — wins on
   // algorithm, not parallelism alone.
   const double verify_speedup = serial_verify_ms / pass2_ms;
   if (verify_speedup < 1.5) {

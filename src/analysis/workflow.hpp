@@ -42,7 +42,7 @@ struct ColumnMerge {
 };
 
 /// How the frequent-itemset stage executes. kDirect mines the whole
-/// (deduplicated) database in one run of `algorithm`; kSon routes
+/// (deduplicated) database in one FP-Growth run; kSon routes
 /// through the two-pass partitioned engine (core::mine_partitioned) —
 /// the scale-out path for traces that outgrow one FP-Growth run.
 /// Results are byte-identical either way.
@@ -65,11 +65,11 @@ struct WorkflowConfig {
   core::MiningParams mining{};       // min support 5%, max length 5
   core::RuleParams rules{};          // min lift 1.5
   core::PruneParams pruning{};       // C_lift = C_supp = 1.5
+  /// Single-valued (see core::Algorithm); selects nothing.
   core::Algorithm algorithm = core::Algorithm::kFpGrowth;
   /// Execution strategy for the mining stage. kSon partitions the
   /// database into `num_partitions` slices and runs the two-pass SON
-  /// engine; `algorithm` is ignored on that path (partitions always
-  /// mine with FP-Growth).
+  /// engine (partitions mine with FP-Growth).
   MiningEngine engine = MiningEngine::kDirect;
   /// Partition count for the kSon engine; ignored under kDirect.
   std::size_t num_partitions = 4;

@@ -127,15 +127,6 @@ Result<LoadedTrace> load_trace(const Args& args) {
   config.rules = flags.value().rules;
   config.pruning = flags.value().pruning;
 
-  const std::string algorithm = args.get_or("algorithm", "fpgrowth");
-  if (algorithm == "fpgrowth") {
-    config.algorithm = core::Algorithm::kFpGrowth;
-  } else if (algorithm == "eclat") {
-    config.algorithm = core::Algorithm::kEclat;
-  } else {
-    return Error{"--algorithm", "unknown algorithm '" + algorithm + "'"};
-  }
-
   const std::string engine = args.get_or("engine", "direct");
   if (engine == "direct") {
     config.engine = analysis::MiningEngine::kDirect;
@@ -343,7 +334,7 @@ int run_help(std::ostream& out) {
          "  gpumine synth --trace pai|supercloud|philly [--jobs N] "
          "[--seed S] --out trace.csv\n"
          "  gpumine itemsets --csv trace.csv [--min-support F] "
-         "[--max-length K] [--algorithm fpgrowth|eclat] [--top N] "
+         "[--max-length K] [--top N] "
          "[--save FILE] [--family all|closed|maximal]\n"
          "                   [--engine direct|son] [--partitions N] "
          "[--threads N] [--stats]\n"

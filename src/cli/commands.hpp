@@ -5,7 +5,7 @@
 //   gpumine synth    --trace pai|supercloud|philly --jobs N --seed S
 //                    --out trace.csv
 //   gpumine itemsets --csv trace.csv [--min-support F] [--max-length K]
-//                    [--algorithm fpgrowth|eclat] [--top N]
+//                    [--top N]
 //   gpumine mine     --csv trace.csv --keyword ITEM [--min-support F]
 //                    [--min-lift F] [--max-length K] [--c-lift F]
 //                    [--c-supp F] [--bare col,col] [--group col,col]

@@ -67,8 +67,6 @@ void KernelMetrics::add(const KernelCounters& counters) {
   dense_intersections += counters.dense_intersections;
   sparse_intersections += counters.sparse_intersections;
   mixed_intersections += counters.mixed_intersections;
-  diff_operations += counters.diff_operations;
-  diffset_switches += counters.diffset_switches;
   dense_sets_built += counters.dense_sets_built;
   sparse_sets_built += counters.sparse_sets_built;
   words_scanned += counters.words_scanned;
@@ -78,8 +76,8 @@ void KernelMetrics::add(const KernelCounters& counters) {
 bool KernelMetrics::populated() const {
   return !tier.empty() &&
          (dense_intersections > 0 || sparse_intersections > 0 ||
-          mixed_intersections > 0 || diff_operations > 0 ||
-          dense_sets_built > 0 || sparse_sets_built > 0);
+          mixed_intersections > 0 || dense_sets_built > 0 ||
+          sparse_sets_built > 0);
 }
 
 std::string KernelMetrics::summary() const {
@@ -89,8 +87,6 @@ std::string KernelMetrics::summary() const {
       << "  intersections:  " << dense_intersections << " dense, "
       << sparse_intersections << " sparse, " << mixed_intersections
       << " mixed\n"
-      << "  diffsets:       " << diffset_switches << " class switches, "
-      << diff_operations << " differences\n"
       << "  sets built:     " << dense_sets_built << " dense, "
       << sparse_sets_built << " sparse\n"
       << "  kernel traffic: " << words_scanned << " words scanned, "
@@ -104,8 +100,6 @@ std::string KernelMetrics::to_json() const {
       << ",\"dense_intersections\":" << dense_intersections
       << ",\"sparse_intersections\":" << sparse_intersections
       << ",\"mixed_intersections\":" << mixed_intersections
-      << ",\"diff_operations\":" << diff_operations
-      << ",\"diffset_switches\":" << diffset_switches
       << ",\"dense_sets_built\":" << dense_sets_built
       << ",\"sparse_sets_built\":" << sparse_sets_built
       << ",\"words_scanned\":" << words_scanned

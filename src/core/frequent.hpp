@@ -22,7 +22,7 @@ struct MiningParams {
   double min_support = 0.05;
   /// Maximum itemset length. Paper default: 5 (Sec. III-D).
   std::size_t max_length = 5;
-  /// Worker threads for the mining scheduler (FP-Growth and Eclat spawn
+  /// Worker threads for the mining scheduler (FP-Growth spawns
   /// work-stealing tasks recursively; partitioned mining parallelizes
   /// across partitions). 0 = hardware concurrency, 1 = sequential.
   std::size_t num_threads = 1;
@@ -32,8 +32,8 @@ struct MiningParams {
   /// when num_threads == 1.
   std::size_t spawn_cutoff_nodes = 256;
   /// Work-size floor for going parallel at all: when the rank-encoded
-  /// database holds fewer item occurrences than this, FP-Growth/Eclat
-  /// mine serially even if num_threads > 1 — on inputs this small, pool
+  /// database holds fewer item occurrences than this, FP-Growth mines
+  /// serially even if num_threads > 1 — on inputs this small, pool
   /// startup and task overhead cost more than the mining (the PR 2/3
   /// bench trajectory recorded parallel *slower* than serial on the
   /// smoke workload). 0 disables the fallback (tests use this to force
@@ -157,8 +157,8 @@ struct KernelCounters;  // core/tidset.hpp
 
 /// Observability for the vertical-mining kernel layer (core/tidset.hpp):
 /// which dispatch tier ran, how often each representation pairing was
-/// intersected, dEclat diffset activity, and raw kernel traffic. Filled
-/// by the engines that run on tid-sets (Eclat, SON pass 2) and rendered
+/// intersected, and raw kernel traffic. Filled by the one engine that
+/// runs on tid-sets (SON pass 2) and rendered
 /// as part of `mine --stats`/`--stats-json`; see docs/KERNELS.md for
 /// the representation heuristics behind the numbers.
 struct KernelMetrics {
@@ -166,8 +166,6 @@ struct KernelMetrics {
   std::uint64_t dense_intersections = 0;   // bitmap AND kernel calls
   std::uint64_t sparse_intersections = 0;  // sorted-list merge joins
   std::uint64_t mixed_intersections = 0;   // list probed against bitmap
-  std::uint64_t diff_operations = 0;       // set differences (dEclat)
-  std::uint64_t diffset_switches = 0;      // classes flipped to diffsets
   std::uint64_t dense_sets_built = 0;      // bitmap results materialized
   std::uint64_t sparse_sets_built = 0;     // list results materialized
   std::uint64_t words_scanned = 0;         // 64-bit words read by kernels
@@ -187,7 +185,7 @@ struct KernelMetrics {
 };
 
 /// Observability counters for one mining run, filled by the algorithms
-/// that use the work-stealing scheduler (FP-Growth, Eclat, partitioned).
+/// that use the work-stealing scheduler (FP-Growth, partitioned).
 /// Rendered by `gpumine mine --stats` and emitted as JSON by the bench
 /// harness; all fields are zero for purely sequential algorithms.
 struct MiningMetrics {
@@ -212,7 +210,7 @@ struct MiningMetrics {
   /// aggregates anything deeper.
   std::vector<std::uint64_t> depth_histogram;
   /// Vertical-kernel counters; zero unless the run intersected tid-sets
-  /// (Eclat, SON pass-2 verification).
+  /// (SON pass-2 verification).
   KernelMetrics kernel_stage;
   /// Two-pass SON counters; zero unless the run used the partitioned
   /// engine (core::mine_partitioned).

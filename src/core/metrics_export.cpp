@@ -63,12 +63,6 @@ void export_mining_metrics(const MiningMetrics& m, MetricsRegistry& r) {
             "Tid-set intersections, by representation pairing",
             {{"kind", "mixed"}})
       .add(k.mixed_intersections);
-  r.counter("gpumine_kernel_diff_operations_total",
-            "dEclat set-difference kernel calls")
-      .add(k.diff_operations);
-  r.counter("gpumine_kernel_diffset_switches_total",
-            "Equivalence classes flipped to diffset representation")
-      .add(k.diffset_switches);
   r.counter("gpumine_kernel_sets_built_total",
             "Result tid-sets materialized, by representation",
             {{"kind", "dense"}})

@@ -1,8 +1,7 @@
-// Facade over the two frequent-itemset algorithms plus the full
+// Facade over the frequent-itemset miner plus the full
 // itemsets -> rules -> pruned-rules pipeline of Sec. III.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "core/frequent.hpp"
@@ -13,16 +12,13 @@
 
 namespace gpumine::core {
 
+// Single-valued: kept only because perfbench/harness/pipeline.cpp passes it.
 enum class Algorithm {
   kFpGrowth,  // paper's choice (Sec. III-C)
-  kEclat,     // vertical-layout baseline
 };
 
-[[nodiscard]] std::string_view to_string(Algorithm algorithm);
-
-/// Mines frequent itemsets with the selected algorithm. All algorithms
-/// return identical results (asserted by the property tests); they differ
-/// only in runtime.
+/// Mines frequent itemsets with FP-Growth (Sec. III-C). `algorithm`
+/// has one value and selects nothing.
 [[nodiscard]] MiningResult mine_frequent(const TransactionDb& db,
                                          const MiningParams& params,
                                          Algorithm algorithm = Algorithm::kFpGrowth);

@@ -66,7 +66,7 @@ MiningResult mine_partitioned(const TransactionDb& db,
   std::vector<std::vector<FrequentItemset>> local(p);
   pool.parallel_for(p, [&](std::size_t i) {
     GPUMINE_SPAN("son/pass1_partition");
-    if (params.dedup_partitions) parts[i] = parts[i].dedup();
+    parts[i] = parts[i].dedup();
     MiningParams local_params = params.mining;
     local_params.num_threads = 1;  // parallelism lives at partition level
     // Exact integer scaling of the global threshold: an itemset with

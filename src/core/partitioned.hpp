@@ -11,11 +11,12 @@
 //           is frequent in at least one partition (the SON property),
 //           so the union of local winners is a complete candidate set;
 //   pass 2  count every candidate exactly over the deduplicated
-//           partition rows in one sweep: candidates live in a prefix
-//           index (a trie over dense item codes), each row is walked
-//           once against it, and the per-shard weighted count vectors
-//           reduce deterministically — no per-candidate linear
-//           is_subset scan.
+//           partition rows, vertically: one tid-set per item
+//           (core/tidset.hpp), and a candidate's weighted count is the
+//           fused-weight intersection of its items' sets, smallest
+//           first. Candidates split into contiguous chunks across the
+//           pool, each writing a disjoint range of the count vector,
+//           so the counts are identical for any thread count.
 //
 // The result is EXACTLY the single-machine result (asserted by property
 // tests across partition and thread counts), at the cost of one extra
@@ -33,11 +34,6 @@ struct PartitionedParams {
   MiningParams mining;        // global thresholds
   std::size_t num_partitions = 4;
   std::size_t num_threads = 0;  // 0 = hardware concurrency
-  /// Fold identical transactions inside each partition slice into one
-  /// weighted row before local mining (and before the pass-2 count).
-  /// Support math runs over partition weight, so results are identical
-  /// either way; dedup only shrinks the per-slice work.
-  bool dedup_partitions = true;
 
   void validate() const;
 };

@@ -196,93 +196,6 @@ TidSetView TidOps::intersect(const TidSetView& a, const TidSetView& b,
           weight};
 }
 
-DiffResult TidOps::difference(const TidSetView& a, const TidSetView& b,
-                              Arena& arena, KernelCounters& kc) const {
-  const std::uint64_t* w = weight_data();
-  if (a.rep == TidRep::kSparse && b.rep == TidRep::kSparse) {
-    return difference_lists(a.tids, b.tids, arena, kc);
-  }
-  ++kc.diff_operations;
-  std::size_t k = 0;
-  std::uint64_t weight = 0;
-  if (a.rep == TidRep::kSparse) {  // sparse \ dense: probe for clear bits
-    const std::span<std::uint32_t> out =
-        arena.allocate_array<std::uint32_t>(a.tids.size());
-    for (const std::uint32_t t : a.tids) {
-      if (!test_bit(b.words, t)) {
-        out[k++] = t;
-        weight += w == nullptr ? 1 : w[t];
-      }
-    }
-    kc.elements_merged += a.tids.size();
-    return {out.first(k), static_cast<std::uint32_t>(k), weight};
-  }
-  const std::span<std::uint32_t> out =
-      arena.allocate_array<std::uint32_t>(a.num_tids);
-  if (b.rep == TidRep::kDense) {  // dense \ dense: fused ANDNOT + extract
-    for (std::size_t i = 0; i < num_words_; ++i) {
-      std::uint64_t bits = a.words[i] & ~b.words[i];
-      const auto base = static_cast<std::uint32_t>(i * 64);
-      while (bits != 0) {
-        const std::uint32_t t =
-            base + static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        out[k++] = t;
-        weight += w == nullptr ? 1 : w[t];
-      }
-    }
-    kc.words_scanned += 2 * num_words_;
-  } else {  // dense \ sparse: extract bits, skipping b's sorted list
-    std::size_t bi = 0;
-    for (std::size_t i = 0; i < num_words_; ++i) {
-      std::uint64_t bits = a.words[i];
-      const auto base = static_cast<std::uint32_t>(i * 64);
-      while (bits != 0) {
-        const std::uint32_t t =
-            base + static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        while (bi < b.tids.size() && b.tids[bi] < t) ++bi;
-        if (bi < b.tids.size() && b.tids[bi] == t) {
-          ++bi;
-          continue;
-        }
-        out[k++] = t;
-        weight += w == nullptr ? 1 : w[t];
-      }
-    }
-    kc.words_scanned += num_words_;
-    kc.elements_merged += b.tids.size();
-  }
-  return {out.first(k), static_cast<std::uint32_t>(k), weight};
-}
-
-DiffResult TidOps::difference_lists(std::span<const std::uint32_t> a,
-                                    std::span<const std::uint32_t> b,
-                                    Arena& arena, KernelCounters& kc) const {
-  const std::uint64_t* w = weight_data();
-  const std::span<std::uint32_t> out =
-      arena.allocate_array<std::uint32_t>(a.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::size_t k = 0;
-  std::uint64_t weight = 0;
-  while (i < a.size()) {
-    const std::uint32_t x = a[i];
-    while (j < b.size() && b[j] < x) ++j;
-    if (j < b.size() && b[j] == x) {
-      ++i;
-      ++j;
-      continue;
-    }
-    out[k++] = x;
-    weight += w == nullptr ? 1 : w[x];
-    ++i;
-  }
-  ++kc.diff_operations;
-  kc.elements_merged += a.size() + b.size();
-  return {out.first(k), static_cast<std::uint32_t>(k), weight};
-}
-
 std::uint64_t TidOps::weight_of(std::span<const std::uint32_t> tids) const {
   if (weights_.empty()) return tids.size();
   std::uint64_t weight = 0;

@@ -1,21 +1,16 @@
 // Adaptive vertical tid-set representation + SIMD intersection kernels
 // for the mining hot loop (paper Sec. III-C).
 //
-// A tid-set is the set of transaction ids supporting an itemset. Eclat
-// class extension, SON pass-2 candidate verification and on-demand
-// SupportIndex lookups all reduce to "intersect two tid-sets and
-// produce the weighted support", so this layer gives that operation one
-// adaptive implementation with three representations:
+// A tid-set is the set of transaction ids supporting an itemset. SON
+// pass-2 candidate verification (core/partitioned.cpp) reduces to
+// "intersect the candidate's item tid-sets and produce the weighted
+// support", so this layer gives that operation one adaptive
+// implementation with two representations:
 //
 //   * sparse — sorted std::uint32_t list, the layout rank_encode emits;
 //   * dense  — 64-bit bitmap over the transaction universe, chosen when
 //     a set's population reaches 1/64 of the universe (the break-even
-//     point where one bitmap word costs the same as one list element);
-//   * diffset — the dEclat complement relative to the recursion's
-//     prefix, switched to deep in the recursion where children retain
-//     most of their parent's tids (tidset.cpp only stores and subtracts
-//     the small exclusion lists; the owning recursion derives supports
-//     via supp(PXY) = supp(PX) - w(d(PXY))).
+//     point where one bitmap word costs the same as one list element).
 //
 // The dense kernels run under runtime CPU dispatch (common/simd.hpp):
 // AVX2 when the build and machine support it, an unrolled word loop
@@ -43,28 +38,17 @@ namespace gpumine::core {
 enum class TidRep : std::uint8_t {
   kSparse,  // `tids` = sorted member transaction ids
   kDense,   // `words` = bitmap over the universe
-  kDiff,    // `tids` = sorted ids excluded relative to the prefix set
 };
 
-/// One tid-set, viewing arena- (or encoding-) owned storage. For every
+/// One tid-set, viewing arena- (or encoding-) owned storage. For either
 /// representation `num_tids` is the set's population (distinct member
-/// transactions) and `count` its weighted support — for kDiff these
-/// describe the *actual* set while `tids` holds only the exclusions.
+/// transactions) and `count` its weighted support.
 struct TidSetView {
   TidRep rep = TidRep::kSparse;
-  std::span<const std::uint32_t> tids;   // kSparse members / kDiff exclusions
+  std::span<const std::uint32_t> tids;   // kSparse members
   std::span<const std::uint64_t> words;  // kDense bitmap
   std::uint32_t num_tids = 0;
   std::uint64_t count = 0;
-};
-
-/// A set difference a \ b: the sorted element list, its size, and its
-/// summed weight. The dEclat recursion turns this into child supports
-/// via supp(child) = supp(parent) - weight.
-struct DiffResult {
-  std::span<const std::uint32_t> tids;
-  std::uint32_t num_tids = 0;
-  std::uint64_t weight = 0;
 };
 
 /// Kernel-layer counters for one mining task/chunk; merged into
@@ -73,8 +57,6 @@ struct KernelCounters {
   std::uint64_t dense_intersections = 0;   // bitmap AND kernel calls
   std::uint64_t sparse_intersections = 0;  // sorted-list merge joins
   std::uint64_t mixed_intersections = 0;   // list probed against bitmap
-  std::uint64_t diff_operations = 0;       // set differences (dEclat)
-  std::uint64_t diffset_switches = 0;      // classes flipped to diffsets
   std::uint64_t dense_sets_built = 0;      // bitmap results materialized
   std::uint64_t sparse_sets_built = 0;     // list results materialized
   std::uint64_t words_scanned = 0;         // 64-bit words read by kernels
@@ -84,8 +66,6 @@ struct KernelCounters {
     dense_intersections += other.dense_intersections;
     sparse_intersections += other.sparse_intersections;
     mixed_intersections += other.mixed_intersections;
-    diff_operations += other.diff_operations;
-    diffset_switches += other.diffset_switches;
     dense_sets_built += other.dense_sets_built;
     sparse_sets_built += other.sparse_sets_built;
     words_scanned += other.words_scanned;
@@ -134,11 +114,6 @@ inline std::uint64_t weight_of_word(std::uint64_t bits,
 /// the universe size, the (possibly empty) per-transaction weights and
 /// the dispatched dense kernel; all mutation happens in caller-provided
 /// arenas, so one const TidOps is shared by every thread of a run.
-///
-/// intersect()/difference() accept kSparse and kDense inputs; kDiff
-/// exclusion lists are combined with difference_lists() by the owning
-/// recursion (they are plain sorted lists relative to a prefix this
-/// class knows nothing about).
 class TidOps {
  public:
   /// `universe` = number of transactions (tids are in [0, universe));
@@ -173,18 +148,6 @@ class TidOps {
   /// intersection never grows, so it can never become dense-worthy).
   [[nodiscard]] TidSetView intersect(const TidSetView& a, const TidSetView& b,
                                      Arena& arena, KernelCounters& kc) const;
-
-  /// a \ b as a sorted sparse list with fused weight (inputs kSparse or
-  /// kDense) — the dEclat tidset-to-diffset switch.
-  [[nodiscard]] DiffResult difference(const TidSetView& a, const TidSetView& b,
-                                      Arena& arena, KernelCounters& kc) const;
-
-  /// a \ b over two sorted tid lists (dEclat recursion over exclusion
-  /// lists, where both operands are kDiff `tids` members).
-  [[nodiscard]] DiffResult difference_lists(std::span<const std::uint32_t> a,
-                                            std::span<const std::uint32_t> b,
-                                            Arena& arena,
-                                            KernelCounters& kc) const;
 
   /// Summed weight of a tid list (== size() when unweighted); test and
   /// root-construction helper, never on the intersection path.

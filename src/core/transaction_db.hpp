@@ -95,7 +95,7 @@ class TransactionDb {
 /// 0..n-1 in support-descending order (ties by ItemId), infrequent items
 /// dropped. One flat rank-sorted std::uint32_t buffer holds every
 /// transaction back to back — the single shared input layout of the
-/// FP-Growth tree build (horizontal CSR view) and Eclat (vertical
+/// FP-Growth tree build (horizontal CSR view) and SON pass 2 (vertical
 /// tid-list view, spans into one flat tid buffer). Built once per mining
 /// run; 32-bit throughout, so the database is capped at 2^32-1
 /// transactions and ranks.

@@ -1,12 +1,14 @@
-// End-to-end algorithm independence: the entire workflow — preprocessing,
+// End-to-end engine independence: the entire workflow — preprocessing,
 // mining, rule generation, keyword pruning — must produce identical rule
-// tables whichever frequent-itemset algorithm drives it, on a realistic
-// trace (not just the unit-level random databases).
+// tables whichever mining engine drives it (direct FP-Growth or two-pass
+// SON), on a realistic trace (not just the unit-level random databases),
+// and the mined itemsets must be exactly the frequent family.
 #include <gtest/gtest.h>
 
 #include "analysis/report.hpp"
 #include "analysis/trace_configs.hpp"
 #include "analysis/workflow.hpp"
+#include "core/mining_test_util.hpp"
 #include "core/partitioned.hpp"
 #include "synth/philly.hpp"
 
@@ -18,10 +20,12 @@ TEST(WorkflowEquivalence, SameRulesForEveryAlgorithm) {
   trace_cfg.num_jobs = 6000;
   const auto trace = synth::generate_philly(trace_cfg);
 
-  auto render = [&](core::Algorithm algorithm) {
+  auto render = [&](MiningEngine engine) {
     WorkflowConfig config = philly_config();
-    config.algorithm = algorithm;
+    config.engine = engine;
     auto mined = mine(trace.merged(), config);
+    core::testutil::expect_exact_frequent_set(mined.prepared.db, config.mining,
+                                              mined.mined);
     const auto a = analyze(mined, "Failed", config);
     RuleTableOptions options;
     options.max_cause = 50;
@@ -29,8 +33,9 @@ TEST(WorkflowEquivalence, SameRulesForEveryAlgorithm) {
     return render_rule_table(a, mined.prepared.catalog, options);
   };
 
-  const std::string fp = render(core::Algorithm::kFpGrowth);
-  EXPECT_EQ(fp, render(core::Algorithm::kEclat));
+  const std::string direct = render(MiningEngine::kDirect);
+  EXPECT_NE(direct.find("Failed"), std::string::npos);
+  EXPECT_EQ(direct, render(MiningEngine::kSon));
 }
 
 TEST(WorkflowEquivalence, PartitionedMiningMatchesAtWorkflowScale) {

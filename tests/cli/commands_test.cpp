@@ -298,18 +298,15 @@ TEST(Cli, ItemsetsAlgorithmSelection) {
                      csv})
                 .code,
             0);
+  // FP-Growth is the only miner, so there is no selection flag: any
+  // value is rejected as an unknown flag, like every other stray flag.
+  const auto plain = run_cli({"itemsets", "--csv", csv, "--min-support", "0.2"});
+  EXPECT_EQ(plain.code, 0) << plain.err;
   for (const char* algorithm : {"fpgrowth", "eclat"}) {
     const auto result = run_cli({"itemsets", "--csv", csv, "--algorithm",
                                  algorithm, "--min-support", "0.2"});
-    EXPECT_EQ(result.code, 0) << algorithm << ": " << result.err;
-  }
-  for (const char* algorithm : {"apriori", "magic"}) {
-    const auto result =
-        run_cli({"itemsets", "--csv", csv, "--algorithm", algorithm});
     EXPECT_EQ(result.code, 2) << algorithm;
-    EXPECT_NE(result.err.find("unknown algorithm '" + std::string(algorithm) +
-                              "'"),
-              std::string::npos)
+    EXPECT_NE(result.err.find("unknown flag --algorithm"), std::string::npos)
         << result.err;
   }
 }

@@ -1,6 +1,7 @@
 // Thread-count independence of the work-stealing FP-Growth: whatever the
 // scheduler width, spawn cutoff, or steal order, the sorted itemset list
-// must be byte-identical. Runs on encoded synthetic PAI and Philly
+// must be byte-identical, and the serial reference must be exactly the
+// frequent family. Runs on encoded synthetic PAI and Philly
 // transactions — the paper's actual workload shape, not just unit-level
 // random databases — to guard the recursive task spawning.
 #include <gtest/gtest.h>
@@ -12,9 +13,9 @@
 
 #include "analysis/trace_configs.hpp"
 #include "analysis/workflow.hpp"
-#include "core/eclat.hpp"
 #include "core/fpgrowth.hpp"
 #include "core/serialize.hpp"
+#include "mining_test_util.hpp"
 #include "synth/pai.hpp"
 #include "synth/philly.hpp"
 
@@ -64,6 +65,7 @@ void check_thread_counts(const EncodedTrace& trace, const char* label) {
   base.serial_cutoff_items = 0;  // small fixture: force the parallel path
   const auto reference = mine_fpgrowth(trace.db, base);
   ASSERT_FALSE(reference.itemsets.empty()) << label;
+  testutil::expect_exact_frequent_set(trace.db, base, reference);
 
   for (std::size_t threads : {2u, 8u}) {
     MiningParams params = base;
@@ -87,19 +89,6 @@ TEST(MiningDeterminism, FpGrowthThreadCountInvariantOnPai) {
 
 TEST(MiningDeterminism, FpGrowthThreadCountInvariantOnPhilly) {
   check_thread_counts(encoded_philly(), "philly");
-}
-
-TEST(MiningDeterminism, EclatThreadCountInvariantOnPai) {
-  const auto trace = encoded_pai();
-  MiningParams base;
-  base.num_threads = 1;
-  base.serial_cutoff_items = 0;  // small fixture: force the parallel path
-  const auto reference = mine_eclat(trace.db, base);
-  MiningParams par = base;
-  par.num_threads = 4;
-  par.spawn_cutoff_nodes = 2;  // force deep task spawning
-  expect_identical(reference, mine_eclat(trace.db, par), trace.catalog,
-                   "eclat pai");
 }
 
 TEST(MiningDeterminism, ParallelRunReportsSchedulerMetrics) {

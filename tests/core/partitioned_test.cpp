@@ -86,21 +86,6 @@ TEST(Partitioned, Validation) {
   EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
-TEST(Partitioned, DedupToggleDoesNotChangeResults) {
-  const auto db = testutil::random_db(/*seed=*/3, /*num_txns=*/300,
-                                      /*num_items=*/6);  // heavy duplication
-  PartitionedParams params;
-  params.mining.min_support = 0.1;
-  params.num_partitions = 4;
-  const auto deduped = mine_partitioned(db, params);
-  params.dedup_partitions = false;
-  const auto raw = mine_partitioned(db, params);
-  expect_same(deduped.itemsets, raw.itemsets);
-  // With dedup off, the pass-2 scan runs over the raw rows.
-  EXPECT_EQ(raw.metrics.partition_stage.distinct_rows, db.size());
-  EXPECT_LT(deduped.metrics.partition_stage.distinct_rows, db.size());
-}
-
 TEST(Partitioned, PartitionMetricsPopulated) {
   const auto db = testutil::random_db(/*seed=*/1, /*num_txns=*/200,
                                       /*num_items=*/11);
