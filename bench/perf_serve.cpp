@@ -10,7 +10,7 @@
 // the /metrics exposition and pins its series set across thread
 // counts, gates on sustained throughput and p99 latency at 8 threads
 // — plain and with the observability stack (slow-query timestamping +
-// flight recording) enabled — and writes one BENCH_*.json record.
+// ring-mode span recording) enabled — and writes one BENCH_*.json record.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,8 +27,8 @@
 #include "analysis/trace_configs.hpp"
 #include "analysis/workflow.hpp"
 #include "bench_util.hpp"
-#include "common/flight.hpp"
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 #include "core/snapshot.hpp"
 #include "serve/handler.hpp"
 #include "serve/query_engine.hpp"
@@ -252,11 +252,11 @@ int run_bench_smoke(const char* path, long pr, const char* commit,
   // in three configurations. The baseline is the default serving path
   // (per-request metrics recording, slow query log off). The "enabled"
   // pass arms the full stack — slow-query timestamping (threshold high
-  // enough that the log itself never fires) plus flight-ring span
+  // enough that the log itself never fires) plus ring-mode span
   // recording — and only has a sanity ceiling: recording real spans
   // may legitimately cost a few percent. The hard 2% gate is on the
   // default path RE-MEASURED after the stack ran, pricing in any state
-  // the enabled passes left behind (registered flight rings).
+  // the enabled passes left behind (registered span buffers).
   // The reps are INTERLEAVED (plain, enabled, plain-after per round)
   // rather than grouped best-of blocks: 8 client threads on a shared
   // single-core runner drift by several percent over the seconds this
@@ -275,9 +275,9 @@ int run_bench_smoke(const char* path, long pr, const char* commit,
   for (int rep = 0; rep < 5; ++rep) {
     plain_ms = std::min(plain_ms, timed_pass());
     handler.set_slow_query_ns(std::uint64_t{1000} * 1000 * 1000);  // 1 s
-    FlightRecorder::instance().enable_recording();
+    Tracer::instance().set_ring_mode(true);
     observed_ms = std::min(observed_ms, timed_pass());
-    FlightRecorder::instance().disable_recording();
+    Tracer::instance().set_ring_mode(false);
     handler.set_slow_query_ns(0);
     plain_after_ms = std::min(plain_after_ms, timed_pass());
   }
@@ -287,7 +287,7 @@ int run_bench_smoke(const char* path, long pr, const char* commit,
       (observed_ms - plain_ms) / plain_ms * 100.0;
   const double budget_ms = std::max(0.02 * plain_ms, 25.0);
   if (observed_ms - plain_ms > 25.0 * budget_ms) {
-    // Sanity ceiling only: enabled flight recording writes real ring
+    // Sanity ceiling only: ring-mode recording writes real span
     // entries and may legitimately cost a few percent.
     std::fprintf(stderr,
                  "FAIL: enabled observability cost %.1f ms over a %.1f ms "

@@ -259,14 +259,15 @@ class FlightDumpSession {
 };
 
 // Splices the name-sorted span summary into a metrics JSON object, so
-// `--stats-json` files carry a `trace_spans` key (an empty array when
-// the run was not traced).
-std::string with_trace_spans(std::string metrics_json) {
+// `--stats-json` files carry a `trace_spans` key. It is an empty array
+// unless the run was traced with `--trace`: a ring-mode tracer
+// (`--flight-dump`) holds only the newest chunks, not a whole run.
+std::string with_trace_spans(std::string metrics_json, bool traced) {
   GPUMINE_ENSURE(!metrics_json.empty() && metrics_json.back() == '}',
                  "metrics JSON must be an object");
   metrics_json.pop_back();
-  metrics_json +=
-      ",\"trace_spans\":" + Tracer::instance().summary_json() + "}";
+  metrics_json += ",\"trace_spans\":" +
+                  (traced ? Tracer::instance().summary_json() : "[]") + "}";
   return metrics_json;
 }
 
@@ -336,12 +337,14 @@ int run_help(std::ostream& out) {
          "  gpumine itemsets --csv trace.csv [--min-support F] "
          "[--max-length K] [--top N] "
          "[--save FILE] [--family all|closed|maximal]\n"
+         "                   [--bare col,..] [--group col,..] "
+         "[--drop col,..] [--categorical col,..]\n"
          "                   [--engine direct|son] [--partitions N] "
          "[--threads N] [--stats]\n"
          "  gpumine mine (--csv trace.csv | --load FILE) --keyword ITEM "
-         "[--min-support F] [--min-lift F]\n"
+         "[--min-support F] [--max-length K] [--min-lift F]\n"
          "               [--c-lift F] [--c-supp F] [--bare col,..] "
-         "[--group col,..] [--drop col,..]\n"
+         "[--group col,..] [--drop col,..] [--categorical col,..]\n"
          "               [--format table|csv|json|md] [--max-rows N] "
          "[--engine direct|son] [--partitions N] [--threads N] [--stats]\n"
          "               [--trace FILE] [--stats-json FILE] [--metrics-out "
@@ -349,13 +352,15 @@ int run_help(std::ostream& out) {
          "               [--log-level debug|info|warn|error|off] "
          "[--log-file FILE]\n"
          "  gpumine predict --csv trace.csv --target ITEM [--holdout F] "
-         "[--min-confidence F] [--seed N]\n"
+         "[--min-confidence F] [--seed N] [--categorical col,..]\n"
          "  gpumine report --csv trace.csv [--principal COL] [--runtime "
          "COL] [--sm-util COL]\n"
-         "                 [--status COL] [--gpus COL] "
-         "[--sort idle|failed|hours|rate] [--top N]\n"
+         "                 [--status COL] [--gpus COL] [--failed-label L] "
+         "[--killed-label L]\n"
+         "                 [--sort idle|failed|hours|rate] [--top N]\n"
          "  gpumine digest --csv trace.csv --keyword ITEM [--max-rules N] "
          "[--fdr Q] [--negative-confidence F]\n"
+         "                 [--exclude A,B] [--categorical col,..]\n"
          "  gpumine compare --a x.itemsets --b y.itemsets --keyword ITEM "
          "[--min-lift F]\n"
          "  gpumine snapshot (--csv trace.csv | --from-itemsets FILE) "
@@ -570,7 +575,9 @@ int run_mine(const std::vector<std::string>& args_raw, std::ostream& out,
   result.metrics.rule_stage = analysis.stage;
   if (!stats_json_path.empty()) {
     if (!write_text_file(stats_json_path,
-                         with_trace_spans(result.metrics.to_json()), err)) {
+                         with_trace_spans(result.metrics.to_json(),
+                                          session.active()),
+                         err)) {
       return 1;
     }
   }
@@ -998,7 +1005,10 @@ int run_serve(const std::vector<std::string>& args_raw, std::ostream& out,
   if (!reject_unused(args, err)) return 2;
 
   const auto build_begin = std::chrono::steady_clock::now();
-  auto snapshot = core::load_rule_snapshot_file(snapshot_path);
+  Result<core::RuleSnapshot> snapshot = [&] {
+    GPUMINE_SPAN("serve/snapshot_load");
+    return core::load_rule_snapshot_file(snapshot_path);
+  }();
   if (!snapshot.ok()) {
     err << snapshot.error().to_string() << "\n";
     return 1;
@@ -1016,11 +1026,11 @@ int run_serve(const std::vector<std::string>& args_raw, std::ostream& out,
 
   serve::RequestHandler handler(std::move(engine), snapshot_path);
   if (slow_query_ms.value() > 0.0) {
-    // The slow-query log reads the request's spans out of the flight
-    // rings, so the flight sink must be on for the subtree to exist.
+    // The slow-query log reads the request's spans from the tracer, so
+    // at least ring mode must be on for the subtree to exist.
     handler.set_slow_query_ns(
         static_cast<std::uint64_t>(slow_query_ms.value() * 1e6));
-    FlightRecorder::instance().enable_recording();
+    Tracer::instance().set_ring_mode(true);
   }
   serve::ServerConfig config;
   config.host = host;

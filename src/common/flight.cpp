@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,26 +13,8 @@
 namespace gpumine {
 namespace {
 
-// All flight-recorder storage is static and fixed at compile time so
-// the crash handler never allocates and every pointer it touches is
-// valid no matter where the crash happened.
-
-struct SpanSlot {
-  // Torn-write detector: odd while the owner is writing, even (and
-  // monotonically increasing) once the slot is published. The crash
-  // handler skips slots whose seq changes or is odd mid-read — another
-  // thread may still be recording while we dump.
-  std::atomic<std::uint32_t> seq{0};
-  char name[FlightRecorder::kSpanNameBytes];
-  std::uint64_t start_ns;
-  std::uint64_t duration_ns;
-  std::uint32_t depth;
-};
-
-struct SpanRing {
-  std::atomic<std::uint64_t> count{0};
-  SpanSlot slots[FlightRecorder::kSpanRingSize];
-};
+// Log storage is static, so the crash handler never allocates and every
+// pointer it touches is valid wherever the crash happened.
 
 struct LogSlot {
   // 0 while (re)writing; the final byte length once published.
@@ -41,21 +22,9 @@ struct LogSlot {
   char data[FlightRecorder::kLogLineBytes];
 };
 
-SpanRing g_rings[FlightRecorder::kMaxThreads];
-std::atomic<std::uint32_t> g_num_rings{0};
-
 LogSlot g_log[FlightRecorder::kLogRingSize];
 std::atomic<std::uint64_t> g_log_count{0};
 std::atomic<std::uint64_t> g_log_dropped{0};
-
-SpanRing* ring_for_this_thread() {
-  thread_local SpanRing* ring = [] {
-    const std::uint32_t idx =
-        g_num_rings.fetch_add(1, std::memory_order_relaxed);
-    return idx < FlightRecorder::kMaxThreads ? &g_rings[idx] : nullptr;
-  }();
-  return ring;
-}
 
 // --- crash-dump plumbing ----------------------------------------------------
 
@@ -70,16 +39,12 @@ struct FdWriter {
   int fd;
   char buf[1024];
   std::size_t n = 0;
-  bool failed = false;
 
   void flush() {
     std::size_t off = 0;
     while (off < n) {
       const ssize_t w = ::write(fd, buf + off, n - off);
-      if (w <= 0) {
-        failed = true;
-        break;
-      }
+      if (w <= 0) break;
       off += static_cast<std::size_t>(w);
     }
     n = 0;
@@ -112,9 +77,9 @@ struct FdWriter {
   }
   /// JSON string contents; control characters become '?' so the
   /// handler never needs \u escapes.
-  void escaped(const char* s, std::size_t max) {
-    for (std::size_t i = 0; i < max && s[i] != '\0'; ++i) {
-      const char c = s[i];
+  void escaped(const char* s) {
+    for (; *s != '\0'; ++s) {
+      const char c = *s;
       if (c == '"' || c == '\\') {
         put('\\');
         put(c);
@@ -127,11 +92,21 @@ struct FdWriter {
   }
 };
 
-std::uint64_t monotonic_ns() {
-  struct timespec ts;
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
+// Tracer::for_each_recent_event callback: one Chrome "X" event and its
+// trailing comma (the dump marker always follows the last one).
+void write_span(const TraceEvent& ev, void* context) {
+  FdWriter& w = *static_cast<FdWriter*>(context);
+  w.str("\n{\"name\":\"");
+  w.escaped(ev.name);
+  w.str("\",\"ph\":\"X\",\"ts\":");
+  w.us_from_ns(ev.start_ns);
+  w.str(",\"dur\":");
+  w.us_from_ns(ev.duration_ns);
+  w.str(",\"pid\":1,\"tid\":");
+  w.u64(ev.tid);
+  w.str(",\"args\":{\"depth\":");
+  w.u64(ev.depth);
+  w.str("}},");
 }
 
 /// The whole dump, using only async-signal-safe calls. Also the body of
@@ -141,44 +116,14 @@ void write_dump_to_fd(int fd, int sig) {
   w.str("{\"displayTimeUnit\":\"ms\",\"crash_signal\":");
   w.u64(static_cast<std::uint64_t>(sig));
   w.str(",\"traceEvents\":[");
-  // A synthetic marker span on its own tid: traceEvents is never empty,
-  // and the dump moment is visible on the timeline.
+  const Tracer& tracer = Tracer::instance();
+  tracer.for_each_recent_event(write_span, &w);
+  // A synthetic marker span on its own tid, stamped on the tracer clock
+  // after every retained span has been read: traceEvents is never
+  // empty, and the dump moment sits at the end of the timeline.
   w.str("\n{\"name\":\"flight/dump\",\"ph\":\"X\",\"ts\":");
-  w.us_from_ns(monotonic_ns());
+  w.us_from_ns(tracer.now_ns());
   w.str(",\"dur\":0,\"pid\":1,\"tid\":9999,\"args\":{\"depth\":0}}");
-
-  const std::uint32_t rings = std::min<std::uint32_t>(
-      g_num_rings.load(std::memory_order_acquire),
-      static_cast<std::uint32_t>(FlightRecorder::kMaxThreads));
-  for (std::uint32_t r = 0; r < rings; ++r) {
-    const SpanRing& ring = g_rings[r];
-    const std::uint64_t count = ring.count.load(std::memory_order_acquire);
-    const std::uint64_t avail =
-        std::min<std::uint64_t>(count, FlightRecorder::kSpanRingSize);
-    for (std::uint64_t i = count - avail; i < count; ++i) {
-      const SpanSlot& slot = ring.slots[i % FlightRecorder::kSpanRingSize];
-      const std::uint32_t seq1 = slot.seq.load(std::memory_order_acquire);
-      if ((seq1 & 1u) != 0) continue;  // mid-write
-      char name[FlightRecorder::kSpanNameBytes];
-      std::memcpy(name, slot.name, sizeof(name));
-      const std::uint64_t start_ns = slot.start_ns;
-      const std::uint64_t duration_ns = slot.duration_ns;
-      const std::uint32_t depth = slot.depth;
-      if (slot.seq.load(std::memory_order_acquire) != seq1) continue;
-      name[sizeof(name) - 1] = '\0';
-      w.str(",\n{\"name\":\"");
-      w.escaped(name, sizeof(name));
-      w.str("\",\"ph\":\"X\",\"ts\":");
-      w.us_from_ns(start_ns);
-      w.str(",\"dur\":");
-      w.us_from_ns(duration_ns);
-      w.str(",\"pid\":1,\"tid\":");
-      w.u64(r);
-      w.str(",\"args\":{\"depth\":");
-      w.u64(depth);
-      w.str("}}");
-    }
-  }
   w.str("\n],\"log\":[");
 
   const std::uint64_t log_count = g_log_count.load(std::memory_order_acquire);
@@ -230,36 +175,6 @@ FlightRecorder& FlightRecorder::instance() {
   return recorder;
 }
 
-void FlightRecorder::enable_recording() {
-  Tracer::instance().set_flight_recording(true);
-}
-
-void FlightRecorder::disable_recording() {
-  Tracer::instance().set_flight_recording(false);
-}
-
-bool FlightRecorder::recording() const {
-  return Tracer::instance().flight_recording();
-}
-
-void FlightRecorder::record_span(const char* name, std::uint64_t start_ns,
-                                 std::uint64_t duration_ns,
-                                 std::uint32_t depth) {
-  SpanRing* ring = ring_for_this_thread();
-  if (ring == nullptr) return;  // beyond kMaxThreads: drop
-  const std::uint64_t n = ring->count.load(std::memory_order_relaxed);
-  SpanSlot& slot = ring->slots[n % kSpanRingSize];
-  const std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
-  slot.seq.store(seq | 1u, std::memory_order_relaxed);
-  std::strncpy(slot.name, name, sizeof(slot.name) - 1);
-  slot.name[sizeof(slot.name) - 1] = '\0';
-  slot.start_ns = start_ns;
-  slot.duration_ns = duration_ns;
-  slot.depth = depth;
-  slot.seq.store((seq | 1u) + 1u, std::memory_order_release);
-  ring->count.store(n + 1, std::memory_order_release);
-}
-
 void FlightRecorder::record_log(const char* line, std::size_t len) {
   if (len == 0 || len > kLogLineBytes) {
     g_log_dropped.fetch_add(1, std::memory_order_relaxed);
@@ -291,7 +206,7 @@ Result<bool> FlightRecorder::arm_crash_dump(const std::string& path) {
   ::sigaction(SIGBUS, &sa, &g_old_bus);
   g_armed.store(true, std::memory_order_release);
 
-  enable_recording();
+  Tracer::instance().set_ring_mode(true);
   return true;
 }
 
@@ -305,60 +220,20 @@ void FlightRecorder::disarm_crash_dump() {
   if (fd >= 0) ::close(fd);
 }
 
-Result<bool> FlightRecorder::dump_file(const std::string& path,
-                                       int signal) const {
+Result<bool> FlightRecorder::dump_file(const std::string& path) const {
   const int fd =
       ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
   if (fd < 0) {
     return Error{path, "cannot open flight-recorder dump file"};
   }
-  write_dump_to_fd(fd, signal);
+  write_dump_to_fd(fd, 0);
   if (::close(fd) != 0) {
     return Error{path, "error writing flight-recorder dump"};
   }
   return true;
 }
 
-std::vector<FlightRecorder::SpanCopy> FlightRecorder::thread_spans_since(
-    std::uint64_t since_ns) const {
-  std::vector<SpanCopy> out;
-  SpanRing* ring = ring_for_this_thread();
-  if (ring == nullptr) return out;
-  const std::uint64_t count = ring->count.load(std::memory_order_acquire);
-  const std::uint64_t avail = std::min<std::uint64_t>(count, kSpanRingSize);
-  for (std::uint64_t i = count - avail; i < count; ++i) {
-    const SpanSlot& slot = ring->slots[i % kSpanRingSize];
-    if (slot.start_ns < since_ns) continue;
-    SpanCopy copy;
-    copy.name.assign(slot.name,
-                     strnlen(slot.name, sizeof(slot.name)));
-    copy.start_ns = slot.start_ns;
-    copy.duration_ns = slot.duration_ns;
-    copy.depth = slot.depth;
-    out.push_back(std::move(copy));
-  }
-  return out;
-}
-
-std::size_t FlightRecorder::retained_spans() const {
-  std::size_t total = 0;
-  const std::uint32_t rings = std::min<std::uint32_t>(
-      g_num_rings.load(std::memory_order_acquire),
-      static_cast<std::uint32_t>(kMaxThreads));
-  for (std::uint32_t r = 0; r < rings; ++r) {
-    total += static_cast<std::size_t>(std::min<std::uint64_t>(
-        g_rings[r].count.load(std::memory_order_acquire), kSpanRingSize));
-  }
-  return total;
-}
-
 void FlightRecorder::reset_for_tests() {
-  const std::uint32_t rings = std::min<std::uint32_t>(
-      g_num_rings.load(std::memory_order_acquire),
-      static_cast<std::uint32_t>(kMaxThreads));
-  for (std::uint32_t r = 0; r < rings; ++r) {
-    g_rings[r].count.store(0, std::memory_order_release);
-  }
   for (LogSlot& slot : g_log) slot.len.store(0, std::memory_order_release);
   g_log_count.store(0, std::memory_order_release);
   g_log_dropped.store(0, std::memory_order_relaxed);

@@ -1,30 +1,14 @@
-// Always-affordable flight recorder: fixed-size per-thread ring buffers
-// that retain the last few hundred completed trace spans and the last
-// ~hundred structured log lines, even when full tracing is off.
-//
-// Two consumers:
-//   * a crash dump — arm_crash_dump() pre-opens the output fd and
-//     installs SIGSEGV/SIGABRT/SIGBUS handlers that write the rings as
-//     a Chrome-trace + log bundle using only async-signal-safe calls
-//     (write/clock_gettime into preallocated storage; no malloc, no
-//     stdio), then restore the default disposition and re-raise;
-//   * the serve slow-query log — thread_spans_since() returns the
-//     current thread's completed spans newer than a request's start
-//     timestamp, so the handler can attach the offending request's span
-//     subtree to a structured log line.
-//
-// Recording is routed from Tracer::record via a sinks bitmask: the
-// flight sink can be on while trace buffering is off, so the rings cost
-// one bounded copy per completed span and nothing else. All storage is
-// static and fixed at compile time; threads beyond kMaxThreads simply
-// stop contributing spans (never a reallocation, never a lock on the
-// record path).
+// Always-affordable flight recorder: a fixed ring of the last structured
+// log lines, and a crash-dump writer that pairs them with the spans the
+// tracer keeps in ring mode (Tracer::for_each_recent_event — the store
+// `--trace` exports and the serve slow-query log reads). The crash
+// handler writes a Chrome-trace + log bundle with async-signal-safe
+// calls only (write/clock_gettime; no lock, no malloc, no stdio), then
+// restores the default disposition and re-raises.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/result.hpp"
 
@@ -32,64 +16,31 @@ namespace gpumine {
 
 class FlightRecorder {
  public:
-  /// Completed spans retained per thread (power of two, ring).
-  static constexpr std::size_t kSpanRingSize = 256;
-  /// Threads that get a span ring; later threads drop flight spans.
-  static constexpr std::size_t kMaxThreads = 64;
   /// Structured log lines retained process-wide.
   static constexpr std::size_t kLogRingSize = 128;
   /// Max bytes per retained log line (longer lines are dropped and
   /// counted, never truncated into invalid JSON).
   static constexpr std::size_t kLogLineBytes = 384;
-  /// Span names are copied (a crashing stack may own the original).
-  static constexpr std::size_t kSpanNameBytes = 48;
 
   static FlightRecorder& instance();
-
-  /// Turns the tracer's flight sink on/off: completed spans start (stop)
-  /// flowing into the per-thread rings. Independent of Tracer::enable().
-  void enable_recording();
-  void disable_recording();
-  [[nodiscard]] bool recording() const;
-
-  /// Called from Tracer::record when the flight sink is on.
-  void record_span(const char* name, std::uint64_t start_ns,
-                   std::uint64_t duration_ns, std::uint32_t depth);
 
   /// Retains one complete JSON-object log line (the logger mirrors every
   /// emitted line here). Lines longer than kLogLineBytes are dropped.
   void record_log(const char* line, std::size_t len);
 
   /// Pre-opens `path` and installs SIGSEGV/SIGABRT/SIGBUS handlers that
-  /// dump the rings there. Also enables recording (a crash dump of empty
-  /// rings would be useless).
+  /// dump the recent spans and log lines there. Also turns on the
+  /// tracer's ring mode (a crash dump without spans would be useless).
   [[nodiscard]] Result<bool> arm_crash_dump(const std::string& path);
 
   /// Restores the previous signal dispositions and closes the dump fd.
   void disarm_crash_dump();
 
-  /// Writes the ring contents as a Chrome-trace + log bundle (the same
-  /// document the crash handler emits) from a normal context.
-  [[nodiscard]] Result<bool> dump_file(const std::string& path,
-                                       int signal = 0) const;
+  /// Writes the bundle (the same document the crash handler emits, with
+  /// `crash_signal` 0) from a normal context.
+  [[nodiscard]] Result<bool> dump_file(const std::string& path) const;
 
-  struct SpanCopy {
-    std::string name;
-    std::uint64_t start_ns = 0;
-    std::uint64_t duration_ns = 0;
-    std::uint32_t depth = 0;
-  };
-
-  /// Completed spans recorded by the *calling* thread whose start is at
-  /// or after `since_ns` (tracer clock), oldest first. The slow-query
-  /// log calls this with the request's start timestamp.
-  [[nodiscard]] std::vector<SpanCopy> thread_spans_since(
-      std::uint64_t since_ns) const;
-
-  /// Number of spans currently retained across all thread rings.
-  [[nodiscard]] std::size_t retained_spans() const;
-
-  /// Clears ring contents (keeps thread registrations). Test-only.
+  /// Clears the log ring. Test-only.
   void reset_for_tests();
 
   FlightRecorder(const FlightRecorder&) = delete;

@@ -165,32 +165,36 @@ MetricsRegistry::Series& MetricsRegistry::series_for(std::string_view name,
   for (auto& series : family.series) {
     if (series->labels == labels) return *series;
   }
+  // Created under the lock, so racing registrations share one value.
   auto series = std::make_unique<Series>();
   series->labels = std::move(labels);
+  if (type == MetricType::kCounter) {
+    series->counter = std::make_unique<Counter>();
+  } else if (type == MetricType::kGauge) {
+    series->gauge = std::make_unique<Gauge>();
+  } else {
+    series->histogram = std::make_unique<Histogram>();
+  }
   family.series.push_back(std::move(series));
   return *family.series.back();
 }
 
 Counter& MetricsRegistry::counter(std::string_view name, std::string_view help,
                                   MetricLabels labels) {
-  Series& s = series_for(name, help, MetricType::kCounter, std::move(labels));
-  if (!s.counter) s.counter = std::make_unique<Counter>();
-  return *s.counter;
+  return *series_for(name, help, MetricType::kCounter, std::move(labels))
+              .counter;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help,
                               MetricLabels labels) {
-  Series& s = series_for(name, help, MetricType::kGauge, std::move(labels));
-  if (!s.gauge) s.gauge = std::make_unique<Gauge>();
-  return *s.gauge;
+  return *series_for(name, help, MetricType::kGauge, std::move(labels)).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::string_view help,
                                       MetricLabels labels) {
-  Series& s = series_for(name, help, MetricType::kHistogram, std::move(labels));
-  if (!s.histogram) s.histogram = std::make_unique<Histogram>();
-  return *s.histogram;
+  return *series_for(name, help, MetricType::kHistogram, std::move(labels))
+              .histogram;
 }
 
 RegistrySnapshot MetricsRegistry::snapshot() const {

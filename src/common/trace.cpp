@@ -2,62 +2,107 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <new>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "common/arena.hpp"
-#include "common/flight.hpp"
 
 namespace gpumine {
 namespace trace_detail {
 
-// Events per chunk: the owning thread takes the chunk mutex once per
-// kChunkEvents records; everything in between is two plain stores and
-// one release store of the counter.
-constexpr std::size_t kChunkEvents = 4096;
+// A TraceEvent stored as atomic words: a reader racing with a ring-mode
+// reuse of the chunk sees old or new words, never a data race. Stores
+// are release and loads acquire, so a reader that saw a new word also
+// sees the chunk's moved `first`.
+using Words = std::array<std::uint64_t, 4>;
+using Slot = std::array<std::atomic<std::uint64_t>, 4>;
+static_assert(sizeof(TraceEvent) == sizeof(Words), "32-byte events");
+
+struct Chunk {
+  // Sequence index of events[0]. A ring-mode reuse moves it forward
+  // before rewriting any slot, so a reader that copied a slot checks it
+  // again and drops the copy if it moved (a seqlock per chunk).
+  std::atomic<std::uint64_t> first{0};
+  std::atomic<Chunk*> older{nullptr};  // same thread's previous chunk
+  Slot events[Tracer::kChunkEvents];
+};
 
 struct ThreadBuffer {
-  explicit ThreadBuffer(std::uint32_t tid_in) : tid(tid_in) {}
+  explicit ThreadBuffer(ThreadBuffer* next_in) : next(next_in) {}
 
-  std::uint32_t tid;
-  // Owner-side append cursor cache; `count` is the publication point.
+  ThreadBuffer* const next;  // the previously registered buffer
+  const std::uint32_t tid = next == nullptr ? 0 : next->tid + 1;
+  // Owner-only; its first block holds the two chunks ring mode keeps.
+  Arena arena{2 * sizeof(Chunk)};
+  // Events published so far; the owner's release store publishes one.
   std::atomic<std::uint64_t> count{0};
-  TraceEvent* write_chunk = nullptr;
-  std::uint64_t write_chunk_base = 0;
-  // Chunk directory + arena, guarded for the (cold) append of a new
-  // chunk and for reader traversal.
-  mutable std::mutex chunk_mutex;
-  std::vector<TraceEvent*> chunks;
-  Arena arena{kChunkEvents * sizeof(TraceEvent)};
+  std::atomic<Chunk*> newest{new_chunk()};
+
+  Chunk* new_chunk() {
+    return new (arena.allocate(sizeof(Chunk), alignof(Chunk))) Chunk;
+  }
 
   void record(const char* name, std::uint64_t start_ns,
-              std::uint64_t duration_ns, std::uint32_t depth) {
+              std::uint64_t duration_ns, std::uint32_t depth, bool ring) {
     const std::uint64_t n = count.load(std::memory_order_relaxed);
-    if (write_chunk == nullptr || n - write_chunk_base >= kChunkEvents) {
-      const std::lock_guard<std::mutex> lock(chunk_mutex);
-      write_chunk = arena.allocate_array<TraceEvent>(kChunkEvents).data();
-      write_chunk_base = n;
-      chunks.push_back(write_chunk);
+    Chunk* chunk = newest.load(std::memory_order_relaxed);
+    std::uint64_t first = chunk->first.load(std::memory_order_relaxed);
+    if (n - first == Tracer::kChunkEvents) {
+      // Ring mode recycles the older of the two newest chunks, unlinked
+      // first so that walks stop at `chunk`.
+      Chunk* next_chunk = chunk->older.load(std::memory_order_relaxed);
+      if (ring && next_chunk != nullptr) {
+        chunk->older.store(nullptr, std::memory_order_relaxed);
+      } else {
+        next_chunk = new_chunk();
+      }
+      next_chunk->first.store(n, std::memory_order_relaxed);
+      next_chunk->older.store(chunk, std::memory_order_relaxed);
+      newest.store(next_chunk, std::memory_order_release);
+      chunk = next_chunk;
+      first = n;
     }
-    TraceEvent& ev = write_chunk[n - write_chunk_base];
-    ev.name = name;
-    ev.start_ns = start_ns;
-    ev.duration_ns = duration_ns;
-    ev.tid = tid;
-    ev.depth = depth;
+    const auto words = std::bit_cast<Words>(
+        TraceEvent{name, start_ns, duration_ns, tid, depth});
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      chunk->events[n - first][w].store(words[w], std::memory_order_release);
+    }
     count.store(n + 1, std::memory_order_release);
   }
 
-  void drain_into(std::vector<TraceEvent>& out) const {
-    const std::uint64_t n = count.load(std::memory_order_acquire);
-    const std::lock_guard<std::mutex> lock(chunk_mutex);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      out.push_back(chunks[i / kChunkEvents][i % kChunkEvents]);
+  // Calls visit(event) on the published events of up to `max_chunks`
+  // chunks, newest first. Takes no lock and never allocates; a chunk
+  // reused mid-read ends the walk.
+  template <typename Visit>
+  void visit_newest_first(std::size_t max_chunks, Visit&& visit) const {
+    const Chunk* chunk = newest.load(std::memory_order_acquire);
+    // Events below `limit` are published and older than those visited.
+    std::uint64_t limit = count.load(std::memory_order_acquire);
+    for (; chunk != nullptr && max_chunks-- > 0;
+         chunk = chunk->older.load(std::memory_order_acquire)) {
+      const std::uint64_t first = chunk->first.load(std::memory_order_acquire);
+      if (first > limit) return;  // recycled since the walk began
+      const std::uint64_t end =
+          std::min<std::uint64_t>(limit, first + Tracer::kChunkEvents);
+      for (std::uint64_t i = end; i-- > first;) {
+        const Slot& slot = chunk->events[i - first];
+        Words words{};
+        for (std::size_t w = 0; w < words.size(); ++w) {
+          words[w] = slot[w].load(std::memory_order_acquire);
+        }
+        const auto ev = std::bit_cast<TraceEvent>(words);
+        if (chunk->first.load(std::memory_order_relaxed) != first) return;
+        visit(ev);
+      }
+      limit = first;
     }
   }
 };
@@ -77,32 +122,27 @@ TlsSlot& tls_slot() {
 }  // namespace
 }  // namespace trace_detail
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
-Tracer::~Tracer() = default;
-
-Tracer& Tracer::instance() {
-  static Tracer tracer;
-  return tracer;
-}
-
 void Tracer::enable() {
-  sinks_.fetch_or(kSinkTrace, std::memory_order_relaxed);
+  modes_.fetch_or(kModeFull, std::memory_order_relaxed);
 }
 void Tracer::disable() {
-  sinks_.fetch_and(~kSinkTrace, std::memory_order_relaxed);
+  modes_.fetch_and(~kModeFull, std::memory_order_relaxed);
 }
 
-void Tracer::set_flight_recording(bool on) {
+void Tracer::set_ring_mode(bool on) {
   if (on) {
-    sinks_.fetch_or(kSinkFlight, std::memory_order_relaxed);
+    modes_.fetch_or(kModeRing, std::memory_order_relaxed);
   } else {
-    sinks_.fetch_and(~kSinkFlight, std::memory_order_relaxed);
+    modes_.fetch_and(~kModeRing, std::memory_order_relaxed);
   }
 }
 
 void Tracer::reset() {
   const std::lock_guard<std::mutex> lock(registry_mutex_);
-  buffers_.clear();
+  for (trace_detail::ThreadBuffer* b = buffers_.exchange(nullptr);
+       b != nullptr;) {
+    delete std::exchange(b, b->next);
+  }
   generation_.fetch_add(1, std::memory_order_relaxed);
   epoch_ = std::chrono::steady_clock::now();
 }
@@ -120,42 +160,33 @@ trace_detail::ThreadBuffer& Tracer::buffer_for_this_thread() {
   const std::uint64_t generation =
       generation_.load(std::memory_order_relaxed);
   if (slot.buffer == nullptr || slot.generation != generation) {
-    buffers_.push_back(std::make_unique<trace_detail::ThreadBuffer>(
-        static_cast<std::uint32_t>(buffers_.size())));
-    slot.buffer = buffers_.back().get();
+    slot.buffer = new trace_detail::ThreadBuffer(
+        buffers_.load(std::memory_order_relaxed));
     slot.generation = generation;
+    buffers_.store(slot.buffer, std::memory_order_release);
   }
   return *slot.buffer;
 }
 
 void Tracer::record(const char* name, std::uint64_t start_ns,
                     std::uint64_t duration_ns, std::uint32_t depth) {
-  const std::uint32_t sinks = sinks_.load(std::memory_order_relaxed);
-  if ((sinks & kSinkFlight) != 0) {
-    FlightRecorder::instance().record_span(name, start_ns, duration_ns,
-                                           depth);
-  }
-  if ((sinks & kSinkTrace) == 0 && sinks != 0) {
-    return;  // flight-only: skip the unbounded trace buffers
-  }
   trace_detail::TlsSlot& slot = trace_detail::tls_slot();
   trace_detail::ThreadBuffer* buffer = slot.buffer;
   if (buffer == nullptr ||
       slot.generation != generation_.load(std::memory_order_relaxed)) {
     buffer = &buffer_for_this_thread();
   }
-  buffer->record(name, start_ns, duration_ns, depth);
+  buffer->record(name, start_ns, duration_ns, depth,
+                 (modes_.load(std::memory_order_relaxed) & kModeFull) == 0);
 }
 
 std::vector<TraceEvent> Tracer::collect() const {
-  std::vector<const trace_detail::ThreadBuffer*> buffers;
-  {
-    const std::lock_guard<std::mutex> lock(registry_mutex_);
-    buffers.reserve(buffers_.size());
-    for (const auto& b : buffers_) buffers.push_back(b.get());
-  }
   std::vector<TraceEvent> events;
-  for (const trace_detail::ThreadBuffer* b : buffers) b->drain_into(events);
+  for (const trace_detail::ThreadBuffer* b = buffers_.load(); b != nullptr;
+       b = b->next) {
+    b->visit_newest_first(SIZE_MAX,
+                          [&](const TraceEvent& ev) { events.push_back(ev); });
+  }
   std::sort(events.begin(), events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               if (a.tid != b.tid) return a.tid < b.tid;
@@ -163,6 +194,29 @@ std::vector<TraceEvent> Tracer::collect() const {
               return a.duration_ns > b.duration_ns;  // parents first
             });
   return events;
+}
+
+std::vector<TraceEvent> Tracer::thread_spans_since(
+    std::uint64_t since_ns) const {
+  std::vector<TraceEvent> out;
+  const trace_detail::TlsSlot& slot = trace_detail::tls_slot();
+  if (slot.buffer == nullptr ||
+      slot.generation != generation_.load(std::memory_order_relaxed)) {
+    return out;
+  }
+  slot.buffer->visit_newest_first(2, [&](const TraceEvent& ev) {
+    if (ev.start_ns >= since_ns) out.push_back(ev);
+  });
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+void Tracer::for_each_recent_event(void (*visit)(const TraceEvent&, void*),
+                                   void* context) const {
+  for (const trace_detail::ThreadBuffer* b = buffers_.load(); b != nullptr;
+       b = b->next) {
+    b->visit_newest_first(2, [&](const TraceEvent& ev) { visit(ev, context); });
+  }
 }
 
 std::vector<SpanSummary> Tracer::summarize() const {

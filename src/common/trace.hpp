@@ -2,12 +2,19 @@
 //
 // A Span is an RAII scope: construction stamps a start time, destruction
 // records one completed event (name, thread, start, duration, nesting
-// depth) into the calling thread's buffer. Buffers are single-producer /
-// single-consumer: the owning thread appends without taking a lock (one
-// mutex acquisition per 4096-event chunk, and chunk storage comes from a
-// per-thread Arena, so the hot path never calls malloc), and readers
-// observe completed events through a release/acquire counter, so a live
-// server can be summarized while request threads keep recording.
+// depth) into the calling thread's buffer. Buffers are single-producer:
+// the owning thread appends without taking a lock (chunk storage comes
+// from a per-thread Arena, so the hot path never calls malloc), and
+// readers walk the chunks through atomics, so a live server can be
+// summarized — or a crash handler can dump — while threads keep
+// recording.
+//
+// The one span store has two retention modes. Full mode (enable(), used
+// by `--trace`) keeps every chunk. Ring mode (set_ring_mode(), used by
+// the flight recorder and the serve slow-query log) keeps each thread's
+// two newest chunks and reuses the older one, so it holds at most two
+// 8 KiB chunks (16,416 bytes) per registered thread until reset().
+// Full wins while both modes are on.
 //
 // The process-wide Tracer is off by default; a disabled Span costs one
 // relaxed atomic load and a branch. Defining GPUMINE_TRACING=0 compiles
@@ -23,9 +30,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -64,41 +71,39 @@ struct ThreadBuffer;
 
 /// Process-wide trace collector. Thread buffers register lazily on first
 /// record and live until reset(); recording is wait-free for the owning
-/// thread apart from one cold mutex per chunk. enable()/reset() must not
-/// race with in-flight spans (the CLI enables before the pipeline runs
-/// and exports after it finishes; the server enables at startup and
-/// exports at shutdown) — collect()/summarize() may run concurrently
-/// with recording and see every event published before the call.
+/// thread. enable()/reset() must not race with in-flight spans (the CLI
+/// enables before the pipeline runs and exports after it finishes; the
+/// server enables at startup and exports at shutdown) — collect(),
+/// summarize() and for_each_recent_event() may run concurrently with
+/// recording.
 class Tracer {
  public:
-  /// record() routes completed spans to any combination of sinks: the
-  /// full trace buffers (kSinkTrace, toggled by enable()/disable()) and
-  /// the bounded FlightRecorder rings (kSinkFlight). A Span costs one
-  /// relaxed load whether zero, one, or both sinks are on.
-  static constexpr std::uint32_t kSinkTrace = 1u;
-  static constexpr std::uint32_t kSinkFlight = 2u;
+  /// Events per chunk (32 bytes each, plus a 16-byte chunk header).
+  static constexpr std::size_t kChunkEvents = 256;
 
-  static Tracer& instance();
+  static Tracer& instance() {
+    static Tracer tracer;
+    return tracer;
+  }
 
+  /// Full mode: keep every recorded chunk (`--trace`).
   void enable();
   void disable();
   [[nodiscard]] bool enabled() const {
-    return (sinks_.load(std::memory_order_relaxed) & kSinkTrace) != 0;
+    return (modes_.load(std::memory_order_relaxed) & kModeFull) != 0;
   }
 
-  /// Toggles the flight-recorder sink (independent of enable()).
-  void set_flight_recording(bool on);
-  [[nodiscard]] bool flight_recording() const {
-    return (sinks_.load(std::memory_order_relaxed) & kSinkFlight) != 0;
-  }
+  /// Ring mode: keep each thread's two newest chunks (`--flight-dump`,
+  /// `--slow-query-ms`). Independent of enable().
+  void set_ring_mode(bool on);
 
-  /// True when any sink wants spans — the Span fast-path check.
+  /// True when either mode is on — the Span fast-path check.
   [[nodiscard]] bool active() const {
-    return sinks_.load(std::memory_order_relaxed) != 0;
+    return modes_.load(std::memory_order_relaxed) != 0;
   }
 
   /// Drops all recorded events and thread registrations. Requires
-  /// quiescence: no spans in flight on any thread.
+  /// quiescence: no spans in flight on any thread, no concurrent reader.
   void reset();
 
   /// Nanoseconds since the tracer epoch (steady clock).
@@ -108,9 +113,20 @@ class Tracer {
   void record(const char* name, std::uint64_t start_ns,
               std::uint64_t duration_ns, std::uint32_t depth);
 
-  /// Snapshot of every published event, sorted by (tid, start, -duration)
+  /// Snapshot of every retained event, sorted by (tid, start, -duration)
   /// so parents precede their children deterministically.
   [[nodiscard]] std::vector<TraceEvent> collect() const;
+
+  /// Events in the *calling* thread's two newest chunks that started at
+  /// or after `since_ns`, in completion order (the slow-query log).
+  [[nodiscard]] std::vector<TraceEvent> thread_spans_since(
+      std::uint64_t since_ns) const;
+
+  /// Calls `visit(event, context)` on each thread's two newest chunks,
+  /// newest first. Async-signal-safe (no lock, no malloc), for the crash
+  /// dump; an event whose chunk is recycled mid-read is skipped.
+  void for_each_recent_event(void (*visit)(const TraceEvent&, void*),
+                             void* context) const;
 
   /// Per-name aggregates, sorted by name.
   [[nodiscard]] std::vector<SpanSummary> summarize() const;
@@ -133,15 +149,20 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
  private:
-  Tracer();
-  ~Tracer();
+  static constexpr std::uint32_t kModeFull = 1u;
+  static constexpr std::uint32_t kModeRing = 2u;
+
+  Tracer() = default;
 
   trace_detail::ThreadBuffer& buffer_for_this_thread();
 
-  std::atomic<std::uint32_t> sinks_{0};
-  std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex registry_mutex_;
-  std::vector<std::unique_ptr<trace_detail::ThreadBuffer>> buffers_;
+  std::atomic<std::uint32_t> modes_{0};
+  std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
+  // Registration and reset; readers walk `buffers_` without it.
+  std::mutex registry_mutex_;
+  // Newest registration first, linked through ThreadBuffer::next.
+  std::atomic<trace_detail::ThreadBuffer*> buffers_{nullptr};
   // Bumped by reset(); a thread whose cached buffer carries an older
   // generation re-registers on its next record.
   std::atomic<std::uint64_t> generation_{0};

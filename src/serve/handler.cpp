@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "analysis/export.hpp"
-#include "common/flight.hpp"
 #include "common/log.hpp"
 #include "common/trace.hpp"
 #include "core/snapshot.hpp"
@@ -113,7 +112,7 @@ HttpResponse RequestHandler::handle(std::string_view method,
                                     : target.substr(0, question);
   const auto begin = std::chrono::steady_clock::now();
   // Tracer-clock stamp of the request start, for pulling this request's
-  // span subtree out of the flight ring if it turns out slow.
+  // span subtree out of the tracer if it turns out slow.
   const std::uint64_t trace_start_ns =
       slow_query_ns_ != 0 ? Tracer::instance().now_ns() : 0;
   HttpResponse response;
@@ -137,11 +136,11 @@ void RequestHandler::log_slow_query(std::string_view method,
                                     std::uint64_t nanos,
                                     std::uint64_t trace_start_ns) {
   // The request's own spans: everything this thread completed since the
-  // request began. Empty when flight recording is off.
+  // request began. Empty when the tracer is off.
   std::string spans = "[";
   bool first = true;
-  for (const FlightRecorder::SpanCopy& span :
-       FlightRecorder::instance().thread_spans_since(trace_start_ns)) {
+  for (const TraceEvent& span :
+       Tracer::instance().thread_spans_since(trace_start_ns)) {
     if (!first) spans += ',';
     first = false;
     spans += "{\"name\":\"" + analysis::json_escape(span.name) +
@@ -311,7 +310,10 @@ Result<bool> RequestHandler::reload() {
   if (snapshot_path_.empty()) {
     return Error{"reload", "no snapshot path configured"};
   }
-  auto snapshot = core::load_rule_snapshot_file(snapshot_path_);
+  Result<core::RuleSnapshot> snapshot = [&] {
+    GPUMINE_SPAN("serve/snapshot_load");
+    return core::load_rule_snapshot_file(snapshot_path_);
+  }();
   if (!snapshot.ok()) return snapshot.error();
   handle_.publish(
       std::make_shared<const QueryEngine>(std::move(snapshot).value()));

@@ -19,10 +19,11 @@
 // bytes — byte-identical across threads, reloads of identical
 // snapshots, and the one-shot CLI pipeline.
 //
-// Slow-query log: with set_slow_query_ns(t) and flight recording on,
-// any request slower than t gets a structured warn line carrying the
-// request's own span subtree pulled from the FlightRecorder ring —
-// post-hoc context for exactly the requests that need explaining.
+// Slow-query log: with set_slow_query_ns(t) and the tracer on (ring
+// mode suffices), any request slower than t gets a structured warn line
+// carrying the request's own span subtree from
+// Tracer::thread_spans_since — post-hoc context for exactly the
+// requests that need explaining.
 #pragma once
 
 #include <memory>

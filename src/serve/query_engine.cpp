@@ -3,12 +3,15 @@
 #include <utility>
 
 #include "analysis/export.hpp"
+#include "common/trace.hpp"
 #include "core/pruning.hpp"
 
 namespace gpumine::serve {
 
 QueryEngine::QueryEngine(core::RuleSnapshot snapshot)
-    : snapshot_(std::move(snapshot)), index_(snapshot_.result) {
+    : snapshot_(std::move(snapshot)) {
+  GPUMINE_SPAN("serve/engine_build");
+  index_ = core::SupportIndex(snapshot_.result);
   // Per-keyword precompute, mirroring the keyword half of
   // core::analyze_keyword over the shared pre-generated rule list. The
   // rendered JSON is cached so the serving path never touches the rule

@@ -5,6 +5,9 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/log.hpp"
 #include "core/snapshot.hpp"
@@ -38,6 +41,27 @@ TEST(Cli, HelpOnNoArgsAndHelpCommand) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.code, 0);
     EXPECT_NE(result.out.find("usage:"), std::string::npos);
+  }
+  // Each command's entry lists the flags it accepts, including those
+  // read through the shared trace loader.
+  const std::string help = run_cli({"help"}).out;
+  const auto entry = [&](const std::string& command) {
+    const std::size_t at = help.find("  gpumine " + command + " ");
+    EXPECT_NE(at, std::string::npos) << command;
+    return at == std::string::npos
+               ? std::string{}
+               : help.substr(at, help.find("  gpumine ", at + 1) - at);
+  };
+  const std::vector<std::pair<std::string, std::string>> listed = {
+      {"itemsets", "--bare"},         {"itemsets", "--group"},
+      {"itemsets", "--drop"},         {"itemsets", "--categorical"},
+      {"mine", "--max-length"},       {"mine", "--categorical"},
+      {"predict", "--categorical"},   {"digest", "--exclude"},
+      {"digest", "--categorical"},    {"report", "--failed-label"},
+      {"report", "--killed-label"}};
+  for (const auto& [command, flag] : listed) {
+    EXPECT_NE(entry(command).find(flag), std::string::npos)
+        << command << " " << flag;
   }
 }
 
@@ -563,6 +587,50 @@ TEST(Cli, MineFlightDumpLeavesALoadableBundle) {
   // load as a Chrome trace.
   const auto check = run_cli({"trace-check", "--file", dump});
   EXPECT_EQ(check.code, 0) << check.err;
+}
+
+// --flight-dump alone puts the tracer in ring mode; its retained chunks
+// must not leak into --stats-json, which reports spans only for --trace.
+TEST(Cli, MineFlightDumpLeavesTraceSpansEmpty) {
+  const std::string csv = temp_path("cli_flight_stats.csv");
+  const std::string dump = temp_path("cli_flight_stats_dump.json");
+  const std::string stats = temp_path("cli_flight_stats.json");
+  ASSERT_EQ(run_cli({"synth", "--trace", "philly", "--jobs", "3000", "--out",
+                     csv})
+                .code,
+            0);
+  const auto mine = run_cli({"mine", "--csv", csv, "--keyword", "Failed",
+                             "--bare", "Status", "--flight-dump", dump,
+                             "--stats-json", stats});
+  ASSERT_EQ(mine.code, 0) << mine.err;
+  std::ifstream in(stats);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_NE(buffer.str().find("\"trace_spans\":[]"), std::string::npos)
+      << buffer.str();
+  std::ifstream dumped(dump);
+  std::stringstream dump_text;
+  dump_text << dumped.rdbuf();
+  EXPECT_NE(dump_text.str().find("rules/prune"), std::string::npos);
+}
+
+TEST(Cli, ServeCheckTraceCoversEngineBuild) {
+  const std::string csv = temp_path("cli_serve_trace.csv");
+  const std::string snap = temp_path("cli_serve_trace.snap");
+  const std::string trace = temp_path("cli_serve_trace.json");
+  ASSERT_EQ(run_cli({"synth", "--trace", "pai", "--jobs", "3000", "--out",
+                     csv})
+                .code,
+            0);
+  ASSERT_EQ(run_cli({"snapshot", "--csv", csv, "--out", snap}).code, 0);
+  const auto check = run_cli({"serve", "--snapshot", snap, "--port", "0",
+                              "--check", "--trace", trace});
+  ASSERT_EQ(check.code, 0) << check.err;
+  std::ifstream in(trace);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_NE(buffer.str().find("\"serve/snapshot_load\""), std::string::npos);
+  EXPECT_NE(buffer.str().find("\"serve/engine_build\""), std::string::npos);
 }
 
 TEST(Cli, MineRejectsBadLogLevelAndAcceptsLogFile) {

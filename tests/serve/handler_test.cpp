@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/log.hpp"
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 #include "core/snapshot.hpp"
 #include "serve_test_util.hpp"
 
@@ -201,11 +204,56 @@ TEST(RequestHandler, SlowQueryThresholdIsConfigurable) {
   EXPECT_EQ(handler.slow_query_ns(), 0u);
   handler.set_slow_query_ns(1);  // 1ns: everything is slow
   EXPECT_EQ(handler.slow_query_ns(), 1u);
-  // With the flight sink off the log line still forms (empty spans);
+  // With the tracer off the log line still forms (empty spans);
   // the request itself must be unaffected.
   const HttpResponse response = handler.handle("GET", "/query?keyword=Failed");
   EXPECT_EQ(response.status, 200);
   Logger::instance().reset_for_tests();
+}
+
+// With the tracer in ring mode, a slow request's log line carries its
+// own span subtree: the request span and, nested inside, its stages.
+TEST(RequestHandler, SlowQueryLogCarriesTheRequestSpans) {
+  const std::string log_path =
+      ::testing::TempDir() + "/handler_slow_query.jsonl";
+  Logger::instance().reset_for_tests();
+  ASSERT_TRUE(Logger::instance().open_file(log_path).ok());
+  Logger::instance().set_level(LogLevel::kWarn);
+  Tracer::instance().reset();
+  Tracer::instance().set_ring_mode(true);
+  RequestHandler handler(engine_fixture(), "");
+  handler.set_slow_query_ns(1);
+  const HttpResponse response = handler.handle("GET", "/query?keyword=Failed");
+  Tracer::instance().set_ring_mode(false);
+  Tracer::instance().reset();
+  Logger::instance().reset_for_tests();
+  EXPECT_EQ(response.status, 200);
+
+  std::ifstream in(log_path);
+  std::string line;
+  std::string slow;
+  while (std::getline(in, line)) {
+    if (line.find("\"msg\":\"slow query\"") != std::string::npos) slow = line;
+  }
+  ASSERT_FALSE(slow.empty()) << "no slow query line in " << log_path;
+  const std::size_t spans_at = slow.find("\"spans\":[");
+  ASSERT_NE(spans_at, std::string::npos) << slow;
+  // Each span is {"name":N,"start_us":..,"dur_us":..,"depth":D}.
+  std::map<std::string, int> depth_of;
+  const std::string key = "{\"name\":\"";
+  for (std::size_t at = slow.find(key, spans_at); at != std::string::npos;
+       at = slow.find(key, at + 1)) {
+    const std::size_t name_at = at + key.size();
+    const std::size_t depth_at = slow.find("\"depth\":", at) + 8;
+    depth_of[slow.substr(name_at, slow.find('"', name_at) - name_at)] =
+        std::stoi(slow.substr(depth_at));
+  }
+  ASSERT_EQ(depth_of.count("serve/request"), 1u) << slow;
+  for (const char* stage :
+       {"serve/parse", "serve/engine_lookup", "serve/render"}) {
+    ASSERT_EQ(depth_of.count(stage), 1u) << stage << " missing: " << slow;
+    EXPECT_GT(depth_of[stage], depth_of["serve/request"]) << stage;
+  }
 }
 
 }  // namespace
