@@ -11,7 +11,10 @@
 #include <chrono>
 #include <csignal>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -51,41 +54,63 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
-// Reports unknown flags; returns false (and sets the exit path) on any.
-bool reject_unused(const Args& args, std::ostream& err) {
-  const auto unused = args.unused();
-  for (const auto& name : unused) {
-    err << "unknown flag --" << name << "\n";
+std::vector<Flag> join(std::initializer_list<std::vector<Flag>> groups) {
+  std::vector<Flag> out;
+  for (const auto& group : groups) {
+    out.insert(out.end(), group.begin(), group.end());
   }
-  return unused.empty();
+  return out;
 }
 
-// Rule and pruning thresholds plus the worker count, read the same way
-// by every command that builds rules: from a CSV, `mine --load` and
-// `snapshot --from-itemsets`.
+// The trace loader's flags (load_trace). --csv comes first: it is the
+// flag that selects this group where it is one of a command's sources.
+const std::vector<Flag> kTraceFlags = {
+    {"csv", FlagKind::kText, "trace.csv", "", true},
+    {"min-support", FlagKind::kDouble, "F", "0.05"},
+    {"max-length", FlagKind::kUint, "K", "5"},
+    {"categorical", FlagKind::kText, "col,..", "job_id"},
+    {"engine", FlagKind::kChoice, "direct|son", "direct"},
+    {"partitions", FlagKind::kUint, "N", "4"},
+    {"drop", FlagKind::kText, "col,..", "job_id"},
+    {"bare", FlagKind::kText, "col,.."},
+    {"group", FlagKind::kText, "col,.."},
+};
+
+// Rule and pruning thresholds plus the worker count (read_rule_flags).
+const std::vector<Flag> kRuleFlags = {
+    {"threads", FlagKind::kUint, "N", "1"},
+    {"min-lift", FlagKind::kDouble, "F", "1.5"},
+    {"c-lift", FlagKind::kDouble, "F", "1.5"},
+    {"c-supp", FlagKind::kDouble, "F", "1.5"},
+};
+
+// The observability group (class Observability); `query` takes only
+// its --trace.
+const Flag kTraceFileFlag = {"trace", FlagKind::kText, "FILE"};
+const std::vector<Flag> kObservabilityFlags = {
+    kTraceFileFlag,
+    {"stats-json", FlagKind::kText, "FILE"},
+    {"metrics-out", FlagKind::kText, "FILE"},
+    {"flight-dump", FlagKind::kText, "FILE"},
+    {"log-level", FlagKind::kChoice, "debug|info|warn|warning|error|off|none"},
+    {"log-file", FlagKind::kText, "FILE"},
+};
+
 struct RuleFlags {
   core::RuleParams rules;     // --min-lift; --threads sets num_threads
   core::PruneParams pruning;  // --c-lift, --c-supp
 };
 
-Result<RuleFlags> read_rule_flags(const Args& args) {
-  const auto threads = args.get_uint("threads", 1);
-  if (!threads.ok()) return threads.error();
-  const auto min_lift = args.get_double("min-lift", 1.5);
-  if (!min_lift.ok()) return min_lift.error();
-  const auto c_lift = args.get_double("c-lift", 1.5);
-  if (!c_lift.ok()) return c_lift.error();
-  const auto c_supp = args.get_double("c-supp", 1.5);
-  if (!c_supp.ok()) return c_supp.error();
+RuleFlags read_rule_flags(const Args& args) {
   RuleFlags flags;
-  flags.rules.min_lift = min_lift.value();
-  flags.rules.num_threads = static_cast<std::size_t>(threads.value());
-  flags.pruning.c_lift = c_lift.value();
-  flags.pruning.c_supp = c_supp.value();
+  flags.rules.min_lift = args.number("min-lift");
+  flags.rules.num_threads = static_cast<std::size_t>(args.uint("threads"));
+  flags.pruning.c_lift = args.number("c-lift");
+  flags.pruning.c_supp = args.number("c-supp");
   return flags;
 }
 
-// Shared CSV -> WorkflowConfig assembly for `itemsets` and `mine`.
+// Shared CSV -> WorkflowConfig assembly for the commands that mine a trace.
 struct LoadedTrace {
   prep::Table table;
   analysis::WorkflowConfig config;
@@ -93,24 +118,18 @@ struct LoadedTrace {
 };
 
 Result<LoadedTrace> load_trace(const Args& args) {
-  const auto path = args.get("csv");
-  if (!path.has_value() || path->empty()) {
-    return Error{"--csv", "required: path to the trace CSV"};
+  if (args.uint("partitions") == 0) {
+    return Error{"--partitions", "must be >= 1"};
   }
-  // Flags first: --threads drives the CSV parser's chunking too.
-  const auto min_support = args.get_double("min-support", 0.05);
-  if (!min_support.ok()) return min_support.error();
-  const auto max_length = args.get_uint("max-length", 5);
-  if (!max_length.ok()) return max_length.error();
-  const auto flags = read_rule_flags(args);
-  if (!flags.ok()) return flags.error();
-  const std::size_t threads = flags.value().rules.num_threads;
+  // --threads drives the CSV parser's chunking too.
+  const RuleFlags flags = read_rule_flags(args);
+  const std::size_t threads = flags.rules.num_threads;
 
   prep::CsvParams csv;
-  csv.force_categorical = split_list(args.get_or("categorical", "job_id"));
+  csv.force_categorical = split_list(args.text("categorical"));
   csv.num_threads = threads;
   const auto csv_begin = std::chrono::steady_clock::now();
-  auto parsed = prep::read_csv_file(*path, csv);
+  auto parsed = prep::read_csv_file(args.text("csv"), csv);
   if (!parsed.ok()) return parsed.error();
 
   LoadedTrace loaded{std::move(parsed).value(), {}, 0.0};
@@ -119,33 +138,21 @@ Result<LoadedTrace> load_trace(const Args& args) {
                            .count();
   analysis::WorkflowConfig& config = loaded.config;
 
-  config.mining.min_support = min_support.value();
-  config.mining.max_length = static_cast<std::size_t>(max_length.value());
+  config.mining.min_support = args.number("min-support");
+  config.mining.max_length = static_cast<std::size_t>(args.uint("max-length"));
   // Mining, rule generation and the prep stages share one worker count.
   config.mining.num_threads = threads;
   config.prep_threads = threads;
-  config.rules = flags.value().rules;
-  config.pruning = flags.value().pruning;
+  config.rules = flags.rules;
+  config.pruning = flags.pruning;
+  config.engine = args.text("engine") == "son"
+                      ? analysis::MiningEngine::kSon
+                      : analysis::MiningEngine::kDirect;
+  config.num_partitions = static_cast<std::size_t>(args.uint("partitions"));
 
-  const std::string engine = args.get_or("engine", "direct");
-  if (engine == "direct") {
-    config.engine = analysis::MiningEngine::kDirect;
-  } else if (engine == "son") {
-    config.engine = analysis::MiningEngine::kSon;
-  } else {
-    return Error{"--engine", "unknown engine '" + engine +
-                                 "' (must be direct or son)"};
-  }
-  const auto partitions = args.get_uint("partitions", 4);
-  if (!partitions.ok()) return partitions.error();
-  if (partitions.value() == 0) {
-    return Error{"--partitions", "must be >= 1"};
-  }
-  config.num_partitions = static_cast<std::size_t>(partitions.value());
-
-  config.drop_columns = split_list(args.get_or("drop", "job_id"));
-  config.encoder.bare_label_columns = split_list(args.get_or("bare", ""));
-  for (const std::string& column : split_list(args.get_or("group", ""))) {
+  config.drop_columns = split_list(args.text("drop"));
+  config.encoder.bare_label_columns = split_list(args.text("bare"));
+  for (const std::string& column : split_list(args.text("group"))) {
     prep::ShareGroupingParams grouping;
     grouping.top_label = "Freq " + column;
     grouping.middle_label = "Regular " + column;
@@ -163,14 +170,13 @@ Result<LoadedTrace> load_trace(const Args& args) {
   return loaded;
 }
 
-// RAII wiring for `--trace FILE`: arms the process tracer for the span
-// of one command. finish() exports the Chrome trace-event file, runs the
-// exporter's self-check on what it just wrote, and reports the span
-// count; it returns false (after printing why) if either step fails.
+// `--trace FILE`: arms the process tracer for the span of one command.
+// finish() exports the Chrome trace-event file, runs the exporter's
+// self-check on what it just wrote, and reports the span count; it
+// returns false (after printing why) if either step fails.
 class TraceSession {
  public:
-  TraceSession(const Args& args, std::ostream& err)
-      : path_(args.get_or("trace", "")), err_(err) {
+  explicit TraceSession(std::string path) : path_(std::move(path)) {
     if (!path_.empty()) {
       Tracer::instance().reset();
       Tracer::instance().enable();
@@ -179,19 +185,19 @@ class TraceSession {
 
   [[nodiscard]] bool active() const { return !path_.empty(); }
 
-  bool finish(std::ostream& out) {
+  bool finish(std::ostream& out, std::ostream& err) {
     if (path_.empty()) return true;
     Tracer& tracer = Tracer::instance();
     tracer.disable();
     const auto written = tracer.export_chrome_trace_file(path_);
     if (!written.ok()) {
-      err_ << written.error().to_string() << "\n";
+      err << written.error().to_string() << "\n";
       return false;
     }
     const auto checked = validate_chrome_trace_file(path_);
     if (!checked.ok()) {
-      err_ << "trace self-check failed: " << checked.error().to_string()
-           << "\n";
+      err << "trace self-check failed: " << checked.error().to_string()
+          << "\n";
       return false;
     }
     out << "wrote trace: " << checked.value() << " spans to " << path_
@@ -201,75 +207,7 @@ class TraceSession {
 
  private:
   std::string path_;
-  std::ostream& err_;
 };
-
-// Shared wiring for `--log-level LEVEL` and `--log-file FILE` on the
-// long-running commands. Returns false (after printing why) on a bad
-// level name or an unwritable file.
-bool configure_logging(const Args& args, std::ostream& err) {
-  if (const auto level = args.get("log-level"); level.has_value()) {
-    const auto parsed = parse_log_level(*level);
-    if (!parsed.ok()) {
-      err << parsed.error().to_string() << "\n";
-      return false;
-    }
-    Logger::instance().set_level(parsed.value());
-  }
-  if (const auto path = args.get("log-file");
-      path.has_value() && !path->empty()) {
-    const auto opened = Logger::instance().open_file(*path);
-    if (!opened.ok()) {
-      err << opened.error().to_string() << "\n";
-      return false;
-    }
-  }
-  return true;
-}
-
-// RAII wiring for `--flight-dump FILE`: arms the flight recorder's
-// crash handler for the span of one command. On a clean exit the
-// destructor writes an ordinary dump to the same path (so the file is
-// always a loadable trace bundle, crash or not) and disarms, keeping
-// in-process callers (tests) free of leftover signal handlers.
-class FlightDumpSession {
- public:
-  FlightDumpSession() = default;
-  ~FlightDumpSession() {
-    if (path_.empty()) return;
-    FlightRecorder& recorder = FlightRecorder::instance();
-    (void)recorder.dump_file(path_);
-    recorder.disarm_crash_dump();
-  }
-
-  bool arm(const Args& args, std::ostream& err) {
-    const std::string path = args.get_or("flight-dump", "");
-    if (path.empty()) return true;
-    const auto armed = FlightRecorder::instance().arm_crash_dump(path);
-    if (!armed.ok()) {
-      err << armed.error().to_string() << "\n";
-      return false;
-    }
-    path_ = path;
-    return true;
-  }
-
- private:
-  std::string path_;
-};
-
-// Splices the name-sorted span summary into a metrics JSON object, so
-// `--stats-json` files carry a `trace_spans` key. It is an empty array
-// unless the run was traced with `--trace`: a ring-mode tracer
-// (`--flight-dump`) holds only the newest chunks, not a whole run.
-std::string with_trace_spans(std::string metrics_json, bool traced) {
-  GPUMINE_ENSURE(!metrics_json.empty() && metrics_json.back() == '}',
-                 "metrics JSON must be an object");
-  metrics_json.pop_back();
-  metrics_json += ",\"trace_spans\":" +
-                  (traced ? Tracer::instance().summary_json() : "[]") + "}";
-  return metrics_json;
-}
 
 bool write_text_file(const std::string& path, const std::string& text,
                      std::ostream& err) {
@@ -300,6 +238,91 @@ bool write_metrics_file(const std::string& path, const std::string& text,
   return true;
 }
 
+// The observability flags of `mine` and `serve`. start() applies
+// --log-level and --log-file, arms the --flight-dump crash handler and
+// starts the --trace session; at exit write_reports() writes
+// --stats-json and --metrics-out and finish() exports the trace. The
+// destructor writes an ordinary flight dump to the same path (so the
+// file is always a loadable trace bundle, crash or not) and disarms,
+// keeping in-process callers (tests) free of leftover signal handlers.
+class Observability {
+ public:
+  explicit Observability(const Args& args) : args_(args) {}
+  Observability(const Observability&) = delete;
+  Observability& operator=(const Observability&) = delete;
+  ~Observability() {
+    if (flight_path_.empty()) return;
+    FlightRecorder& recorder = FlightRecorder::instance();
+    (void)recorder.dump_file(flight_path_);
+    recorder.disarm_crash_dump();
+  }
+
+  // Returns false (after printing why) on an unwritable file.
+  bool start(std::ostream& err) {
+    if (args_.has("log-level")) {
+      const auto level = parse_log_level(args_.text("log-level"));
+      if (!level.ok()) {
+        err << level.error().to_string() << "\n";
+        return false;
+      }
+      Logger::instance().set_level(level.value());
+    }
+    if (const std::string& path = args_.text("log-file"); !path.empty()) {
+      const auto opened = Logger::instance().open_file(path);
+      if (!opened.ok()) {
+        err << opened.error().to_string() << "\n";
+        return false;
+      }
+    }
+    if (const std::string& path = args_.text("flight-dump"); !path.empty()) {
+      const auto armed = FlightRecorder::instance().arm_crash_dump(path);
+      if (!armed.ok()) {
+        err << armed.error().to_string() << "\n";
+        return false;
+      }
+      flight_path_ = path;
+    }
+    trace_.emplace(args_.text("trace"));
+    return true;
+  }
+
+  [[nodiscard]] bool tracing() const { return trace_ && trace_->active(); }
+
+  // Each document is rendered only if its flag was given.
+  bool write_reports(const std::function<std::string()>& stats_json,
+                     const std::function<std::string()>& metrics,
+                     std::ostream& out, std::ostream& err) const {
+    const std::string& stats_path = args_.text("stats-json");
+    const std::string& metrics_path = args_.text("metrics-out");
+    return (stats_path.empty() ||
+            write_text_file(stats_path, stats_json(), err)) &&
+           (metrics_path.empty() ||
+            write_metrics_file(metrics_path, metrics(), out, err));
+  }
+
+  bool finish(std::ostream& out, std::ostream& err) {
+    return !trace_ || trace_->finish(out, err);
+  }
+
+ private:
+  const Args& args_;
+  std::string flight_path_;
+  std::optional<TraceSession> trace_;
+};
+
+// Splices the name-sorted span summary into a metrics JSON object, so
+// `--stats-json` files carry a `trace_spans` key. It is an empty array
+// unless the run was traced with `--trace`: a ring-mode tracer
+// (`--flight-dump`) holds only the newest chunks, not a whole run.
+std::string with_trace_spans(std::string metrics_json, bool traced) {
+  GPUMINE_ENSURE(!metrics_json.empty() && metrics_json.back() == '}',
+                 "metrics JSON must be an object");
+  metrics_json.pop_back();
+  metrics_json += ",\"trace_spans\":" +
+                  (traced ? Tracer::instance().summary_json() : "[]") + "}";
+  return metrics_json;
+}
+
 // SIGINT/SIGTERM flag for `gpumine serve` (async-signal-safe type).
 volatile std::sig_atomic_t g_serve_stop = 0;
 extern "C" void handle_serve_signal(int) { g_serve_stop = 1; }
@@ -326,100 +349,27 @@ std::string percent_encode(const std::string& text) {
   return out;
 }
 
-}  // namespace
-
-int run_help(std::ostream& out) {
-  out << "gpumine - interpretable GPU-cluster trace analysis via "
-         "association rule mining\n\n"
-         "usage:\n"
-         "  gpumine synth --trace pai|supercloud|philly [--jobs N] "
-         "[--seed S] --out trace.csv\n"
-         "  gpumine itemsets --csv trace.csv [--min-support F] "
-         "[--max-length K] [--top N] "
-         "[--save FILE] [--family all|closed|maximal]\n"
-         "                   [--bare col,..] [--group col,..] "
-         "[--drop col,..] [--categorical col,..]\n"
-         "                   [--engine direct|son] [--partitions N] "
-         "[--threads N] [--stats]\n"
-         "  gpumine mine (--csv trace.csv | --load FILE) --keyword ITEM "
-         "[--min-support F] [--max-length K] [--min-lift F]\n"
-         "               [--c-lift F] [--c-supp F] [--bare col,..] "
-         "[--group col,..] [--drop col,..] [--categorical col,..]\n"
-         "               [--format table|csv|json|md] [--max-rows N] "
-         "[--engine direct|son] [--partitions N] [--threads N] [--stats]\n"
-         "               [--trace FILE] [--stats-json FILE] [--metrics-out "
-         "FILE] [--flight-dump FILE]\n"
-         "               [--log-level debug|info|warn|error|off] "
-         "[--log-file FILE]\n"
-         "  gpumine predict --csv trace.csv --target ITEM [--holdout F] "
-         "[--min-confidence F] [--seed N] [--categorical col,..]\n"
-         "  gpumine report --csv trace.csv [--principal COL] [--runtime "
-         "COL] [--sm-util COL]\n"
-         "                 [--status COL] [--gpus COL] [--failed-label L] "
-         "[--killed-label L]\n"
-         "                 [--sort idle|failed|hours|rate] [--top N]\n"
-         "  gpumine digest --csv trace.csv --keyword ITEM [--max-rules N] "
-         "[--fdr Q] [--negative-confidence F]\n"
-         "                 [--exclude A,B] [--categorical col,..]\n"
-         "  gpumine compare --a x.itemsets --b y.itemsets --keyword ITEM "
-         "[--min-lift F]\n"
-         "  gpumine snapshot (--csv trace.csv | --from-itemsets FILE) "
-         "--out FILE [+ mine flags]\n"
-         "  gpumine serve --snapshot FILE [--host H] [--port P] "
-         "[--threads N] [--check]\n"
-         "                [--trace FILE] [--stats-json FILE] [--metrics-out "
-         "FILE] [--flight-dump FILE]\n"
-         "                [--slow-query-ms N] [--log-level "
-         "debug|info|warn|error|off] [--log-file FILE]\n"
-         "  gpumine query [--host H] [--port P] (--keyword ITEM | "
-         "--items A,B | --stats | --reload | --health) [--trace FILE]\n"
-         "  gpumine trace-check --file trace.json\n"
-         "  gpumine metrics-check --file metrics.prom\n"
-         "  gpumine help\n";
-  return 0;
-}
-
-int run_synth(const std::vector<std::string>& args_raw, std::ostream& out,
-              std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string which = args.get_or("trace", "");
-  const auto jobs = args.get_uint("jobs", 20000);
-  const auto seed = args.get_uint("seed", 42);
-  const std::string path = args.get_or("out", "");
-  if (!jobs.ok() || !seed.ok()) {
-    err << (!jobs.ok() ? jobs.error() : seed.error()).to_string() << "\n";
-    return 2;
-  }
-  if (path.empty()) {
-    err << "--out is required\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
-
+int run_synth(const Args& args, std::ostream& out, std::ostream& err) {
+  const std::string& which = args.text("trace");
+  const std::string& path = args.text("out");
+  const std::uint64_t jobs = args.uint("jobs");
+  const std::uint64_t seed = args.uint("seed");
   prep::Table table;
   if (which == "pai") {
     synth::PaiConfig config;
-    config.num_jobs = jobs.value();
-    config.seed = seed.value();
+    config.num_jobs = jobs;
+    config.seed = seed;
     table = synth::generate_pai(config).merged();
   } else if (which == "supercloud") {
     synth::SuperCloudConfig config;
-    config.num_jobs = jobs.value();
-    config.seed = seed.value();
+    config.num_jobs = jobs;
+    config.seed = seed;
     table = synth::generate_supercloud(config).merged();
-  } else if (which == "philly") {
-    synth::PhillyConfig config;
-    config.num_jobs = jobs.value();
-    config.seed = seed.value();
-    table = synth::generate_philly(config).merged();
   } else {
-    err << "--trace must be pai, supercloud or philly\n";
-    return 2;
+    synth::PhillyConfig config;
+    config.num_jobs = jobs;
+    config.seed = seed;
+    table = synth::generate_philly(config).merged();
   }
   const auto written = prep::write_csv_file(table, path);
   if (!written.ok()) {
@@ -431,33 +381,19 @@ int run_synth(const std::vector<std::string>& args_raw, std::ostream& out,
   return 0;
 }
 
-int run_itemsets(const std::vector<std::string>& args_raw, std::ostream& out,
-                 std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const auto top = args.get_uint("top", 25);
-  const std::string save_path = args.get_or("save", "");
-  const std::string family = args.get_or("family", "all");
-  const bool stats = args.has("stats");
+int run_itemsets(const Args& args, std::ostream& out, std::ostream& err) {
   auto loaded = load_trace(args);
-  if (!top.ok() || !loaded.ok()) {
-    err << (!top.ok() ? top.error() : loaded.error()).to_string() << "\n";
+  if (!loaded.ok()) {
+    err << loaded.error().to_string() << "\n";
     return 2;
   }
-  if (family != "all" && family != "closed" && family != "maximal") {
-    err << "--family must be all, closed or maximal\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
+  const std::string& family = args.text("family");
+  const std::string& save_path = args.text("save");
 
   LoadedTrace trace = std::move(loaded).value();
   auto mined = analysis::mine(std::move(trace.table), trace.config);
   mined.mined.metrics.prep_stage.csv_seconds = trace.csv_seconds;
-  if (stats) out << mined.mined.metrics.summary();
+  if (args.has("stats")) out << mined.mined.metrics.summary();
   if (family == "closed") {
     mined.mined.itemsets = core::closed_itemsets(mined.mined);
   } else if (family == "maximal") {
@@ -482,7 +418,7 @@ int run_itemsets(const std::vector<std::string>& args_raw, std::ostream& out,
               return a.items < b.items;
             });
   const std::size_t n =
-      std::min<std::size_t>(itemsets.size(), top.value());
+      std::min<std::size_t>(itemsets.size(), args.uint("top"));
   for (std::size_t i = 0; i < n; ++i) {
     out << "  [" << itemsets[i].count << "] "
         << mined.prepared.catalog.render(itemsets[i].items) << "\n";
@@ -490,56 +426,32 @@ int run_itemsets(const std::vector<std::string>& args_raw, std::ostream& out,
   return 0;
 }
 
-int run_mine(const std::vector<std::string>& args_raw, std::ostream& out,
-             std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string keyword = args.get_or("keyword", "");
-  const std::string format = args.get_or("format", "table");
+int run_mine(const Args& args, std::ostream& out, std::ostream& err) {
+  const std::string& keyword = args.text("keyword");
+  const std::string& format = args.text("format");
+  const std::uint64_t max_rows = args.uint("max-rows");
   const bool stats = args.has("stats");
-  const std::string stats_json_path = args.get_or("stats-json", "");
-  const std::string metrics_out_path = args.get_or("metrics-out", "");
-  if (!configure_logging(args, err)) return 2;
-  FlightDumpSession flight;
-  if (!flight.arm(args, err)) return 2;
-  TraceSession session(args, err);
-  const auto max_rows = args.get_uint("max-rows", 10);
-  if (!max_rows.ok()) {
-    err << max_rows.error().to_string() << "\n";
-    return 2;
-  }
-  if (keyword.empty()) {
-    err << "--keyword is required (an item name, e.g. 'Failed')\n";
-    return 2;
-  }
+  Observability observability(args);
+  if (!observability.start(err)) return 2;
 
   // Mining input: either a raw CSV (mined now) or a saved itemset file
   // (from `itemsets --save`).
   core::MiningResult result;
   core::ItemCatalog catalog;
   analysis::WorkflowConfig config;
-  if (const auto load_path = args.get("load"); load_path.has_value()) {
-    auto loaded = core::load_mining_result_file(*load_path);
+  if (const std::string& load_path = args.text("load"); !load_path.empty()) {
+    auto loaded = core::load_mining_result_file(load_path);
     if (!loaded.ok()) {
       err << loaded.error().to_string() << "\n";
       return 2;
     }
     // Rule/pruning thresholds still apply when replaying saved itemsets.
-    const auto flags = read_rule_flags(args);
-    if (!flags.ok()) {
-      err << flags.error().to_string() << "\n";
-      return 2;
-    }
-    config.rules = flags.value().rules;
-    config.pruning = flags.value().pruning;
+    const RuleFlags flags = read_rule_flags(args);
+    config.rules = flags.rules;
+    config.pruning = flags.pruning;
     core::LoadedMiningResult archive = std::move(loaded).value();
     result = std::move(archive.result);
     catalog = std::move(archive.catalog);
-    if (!reject_unused(args, err)) return 2;
     if (stats) {
       out << "no mining stats: --load replays saved itemsets without "
              "mining\n";
@@ -550,7 +462,6 @@ int run_mine(const std::vector<std::string>& args_raw, std::ostream& out,
       err << loaded.error().to_string() << "\n";
       return 2;
     }
-    if (!reject_unused(args, err)) return 2;
     LoadedTrace trace = std::move(loaded).value();
     config = trace.config;
     auto mined = analysis::mine(std::move(trace.table), config);
@@ -568,84 +479,57 @@ int run_mine(const std::vector<std::string>& args_raw, std::ostream& out,
   const auto analysis = core::analyze_keyword(result, *keyword_id,
                                               config.rules, config.pruning);
   if (stats) out << analysis.stage.summary();
-  if (stats && session.active()) {
+  if (stats && observability.tracing()) {
     out << "trace spans (per name, sorted):\n"
         << Tracer::instance().summary_table();
   }
   result.metrics.rule_stage = analysis.stage;
-  if (!stats_json_path.empty()) {
-    if (!write_text_file(stats_json_path,
-                         with_trace_spans(result.metrics.to_json(),
-                                          session.active()),
-                         err)) {
-      return 1;
-    }
-  }
-  if (!metrics_out_path.empty()) {
-    if (!write_metrics_file(metrics_out_path,
-                            core::render_prometheus(result.metrics), out,
-                            err)) {
-      return 1;
-    }
+  if (!observability.write_reports(
+          [&] {
+            return with_trace_spans(result.metrics.to_json(),
+                                    observability.tracing());
+          },
+          [&] { return core::render_prometheus(result.metrics); }, out,
+          err)) {
+    return 1;
   }
   if (format == "table") {
     analysis::RuleTableOptions options;
-    options.max_cause = max_rows.value();
-    options.max_characteristic = max_rows.value();
+    options.max_cause = max_rows;
+    options.max_characteristic = max_rows;
     out << analysis::render_rule_table(analysis, catalog, options);
   } else if (format == "csv") {
     out << analysis::rules_to_csv(analysis, catalog);
   } else if (format == "json") {
     out << analysis::rules_to_json(analysis, catalog) << "\n";
-  } else if (format == "md") {
-    out << analysis::rules_to_markdown(analysis, catalog, max_rows.value());
   } else {
-    err << "--format must be table, csv, json or md\n";
-    return 2;
+    out << analysis::rules_to_markdown(analysis, catalog, max_rows);
   }
-  return session.finish(out) ? 0 : 1;
+  return observability.finish(out, err) ? 0 : 1;
 }
 
-int run_predict(const std::vector<std::string>& args_raw, std::ostream& out,
-                std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string target = args.get_or("target", "");
-  const auto holdout = args.get_double("holdout", 0.3);
-  const auto min_confidence = args.get_double("min-confidence", 0.7);
-  const auto seed = args.get_uint("seed", 1);
-  auto loaded = load_trace(args);
-  if (!holdout.ok() || !min_confidence.ok() || !seed.ok() || !loaded.ok()) {
-    const Error& e = !holdout.ok()          ? holdout.error()
-                     : !min_confidence.ok() ? min_confidence.error()
-                     : !seed.ok()           ? seed.error()
-                                            : loaded.error();
-    err << e.to_string() << "\n";
-    return 2;
-  }
-  if (target.empty()) {
-    err << "--target is required (the item to predict, e.g. 'Failed')\n";
-    return 2;
-  }
-  if (holdout.value() <= 0.0 || holdout.value() >= 1.0) {
+int run_predict(const Args& args, std::ostream& out, std::ostream& err) {
+  const std::string& target = args.text("target");
+  const double holdout = args.number("holdout");
+  if (holdout <= 0.0 || holdout >= 1.0) {
     err << "--holdout must be in (0, 1)\n";
     return 2;
   }
-  if (!reject_unused(args, err)) return 2;
+  auto loaded = load_trace(args);
+  if (!loaded.ok()) {
+    err << loaded.error().to_string() << "\n";
+    return 2;
+  }
 
   LoadedTrace trace = std::move(loaded).value();
   const auto& config = trace.config;
 
   // Deterministic random holdout split.
-  trace::Rng rng(seed.value());
+  trace::Rng rng(args.uint("seed"));
   const std::size_t rows = trace.table.num_rows();
   std::vector<bool> is_train(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    is_train[r] = !rng.bernoulli(holdout.value());
+    is_train[r] = !rng.bernoulli(holdout);
   }
   std::vector<bool> is_test = is_train;
   is_test.flip();
@@ -660,7 +544,7 @@ int run_predict(const std::vector<std::string>& args_raw, std::ostream& out,
   const auto cause =
       core::filter_keyword(rules, *target_id, core::KeywordSide::kConsequent);
   analysis::ClassifierParams clf_params;
-  clf_params.min_confidence = min_confidence.value();
+  clf_params.min_confidence = args.number("min-confidence");
   const analysis::RuleClassifier classifier(cause, *target_id, clf_params);
 
   // Encode the held-out rows and remap them into the training vocabulary.
@@ -694,53 +578,32 @@ int run_predict(const std::vector<std::string>& args_raw, std::ostream& out,
   return 0;
 }
 
-int run_report(const std::vector<std::string>& args_raw, std::ostream& out,
-               std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const auto csv_path = args.get("csv");
-  if (!csv_path.has_value() || csv_path->empty()) {
-    err << "--csv is required\n";
-    return 2;
-  }
+int run_report(const Args& args, std::ostream& out, std::ostream& err) {
   analysis::TableDrilldownSpec spec;
-  spec.principal_column = args.get_or("principal", "User");
-  spec.runtime_column = args.get_or("runtime", "Runtime");
-  spec.gpus_column = args.get_or("gpus", "");
-  spec.sm_util_column = args.get_or("sm-util", "SM Util");
-  spec.status_column = args.get_or("status", "Status");
-  spec.failed_label = args.get_or("failed-label", "Failed");
-  spec.killed_label = args.get_or("killed-label", "Killed");
+  spec.principal_column = args.text("principal");
+  spec.runtime_column = args.text("runtime");
+  spec.gpus_column = args.text("gpus");
+  spec.sm_util_column = args.text("sm-util");
+  spec.status_column = args.text("status");
+  spec.failed_label = args.text("failed-label");
+  spec.killed_label = args.text("killed-label");
 
   analysis::DrilldownParams params;
-  const auto top = args.get_uint("top", 10);
-  if (!top.ok()) {
-    err << top.error().to_string() << "\n";
-    return 2;
-  }
-  params.top_k = top.value();
-  const std::string sort = args.get_or("sort", "idle");
+  params.top_k = args.uint("top");
+  const std::string& sort = args.text("sort");
   if (sort == "idle") {
     params.sort = analysis::DrilldownSort::kIdleGpuHours;
   } else if (sort == "failed") {
     params.sort = analysis::DrilldownSort::kFailedGpuHours;
   } else if (sort == "hours") {
     params.sort = analysis::DrilldownSort::kGpuHours;
-  } else if (sort == "rate") {
-    params.sort = analysis::DrilldownSort::kFailureRate;
   } else {
-    err << "--sort must be idle, failed, hours or rate\n";
-    return 2;
+    params.sort = analysis::DrilldownSort::kFailureRate;
   }
-  if (!reject_unused(args, err)) return 2;
 
   prep::CsvParams csv;
   csv.force_categorical = {"job_id", spec.principal_column};
-  auto table = prep::read_csv_file(*csv_path, csv);
+  auto table = prep::read_csv_file(args.text("csv"), csv);
   if (!table.ok()) {
     err << table.error().to_string() << "\n";
     return 2;
@@ -755,33 +618,13 @@ int run_report(const std::vector<std::string>& args_raw, std::ostream& out,
   return 0;
 }
 
-int run_digest(const std::vector<std::string>& args_raw, std::ostream& out,
-               std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string keyword = args.get_or("keyword", "");
-  const auto max_rules = args.get_uint("max-rules", 6);
-  const auto fdr = args.get_double("fdr", 0.01);
-  const auto neg_conf = args.get_double("negative-confidence", 0.7);
-  const std::string exclude_list = args.get_or("exclude", "");
+int run_digest(const Args& args, std::ostream& out, std::ostream& err) {
+  const std::string& keyword = args.text("keyword");
   auto loaded = load_trace(args);
-  if (!max_rules.ok() || !fdr.ok() || !neg_conf.ok() || !loaded.ok()) {
-    const Error& e = !max_rules.ok() ? max_rules.error()
-                     : !fdr.ok()     ? fdr.error()
-                     : !neg_conf.ok() ? neg_conf.error()
-                                      : loaded.error();
-    err << e.to_string() << "\n";
+  if (!loaded.ok()) {
+    err << loaded.error().to_string() << "\n";
     return 2;
   }
-  if (keyword.empty()) {
-    err << "--keyword is required\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
 
   LoadedTrace trace = std::move(loaded).value();
   const auto config = trace.config;
@@ -796,7 +639,7 @@ int run_digest(const std::vector<std::string>& args_raw, std::ostream& out,
                                               config.rules, config.pruning);
 
   analysis::SummarizeParams summarize;
-  summarize.max_rules = max_rules.value();
+  summarize.max_rules = args.uint("max-rules");
   const auto digest = analysis::summarize_cause_rules(
       analysis.cause, mined.prepared.db, *keyword_id, summarize);
   out << "digest (greedy coverage of '" << keyword << "' transactions):\n";
@@ -809,17 +652,18 @@ int run_digest(const std::vector<std::string>& args_raw, std::ostream& out,
     digest_rules.push_back(entry.rule);
   }
 
-  const auto certified = core::significant_rules(
-      digest_rules, mined.mined.db_size, fdr.value());
+  const double fdr = args.number("fdr");
+  const auto certified =
+      core::significant_rules(digest_rules, mined.mined.db_size, fdr);
   out << "certified " << certified.size() << " of " << digest_rules.size()
-      << " digest rules (Fisher exact, BH q=" << fdr.value() << ")\n";
+      << " digest rules (Fisher exact, BH q=" << fdr << ")\n";
 
   core::NegativeRuleParams negative;
-  negative.min_confidence = neg_conf.value();
+  negative.min_confidence = args.number("negative-confidence");
   negative.mining_min_support = config.mining.min_support;
   // Tautology guard: e.g. --exclude Terminated when the keyword is
   // Failed, so "{Terminated} => NOT Failed" does not top the list.
-  for (const std::string& name : split_list(exclude_list)) {
+  for (const std::string& name : split_list(args.text("exclude"))) {
     if (const auto id = catalog.find(name)) {
       negative.excluded_antecedent_items.push_back(*id);
     }
@@ -836,31 +680,10 @@ int run_digest(const std::vector<std::string>& args_raw, std::ostream& out,
   return 0;
 }
 
-int run_compare(const std::vector<std::string>& args_raw, std::ostream& out,
-                std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string path_a = args.get_or("a", "");
-  const std::string path_b = args.get_or("b", "");
-  const std::string keyword = args.get_or("keyword", "");
-  const auto min_lift = args.get_double("min-lift", 1.5);
-  if (!min_lift.ok()) {
-    err << min_lift.error().to_string() << "\n";
-    return 2;
-  }
-  if (path_a.empty() || path_b.empty() || keyword.empty()) {
-    err << "--a ARCHIVE --b ARCHIVE --keyword ITEM are required "
-           "(archives from `itemsets --save`)\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
-
-  auto loaded_a = core::load_mining_result_file(path_a);
-  auto loaded_b = core::load_mining_result_file(path_b);
+int run_compare(const Args& args, std::ostream& out, std::ostream& err) {
+  const std::string& keyword = args.text("keyword");
+  auto loaded_a = core::load_mining_result_file(args.text("a"));
+  auto loaded_b = core::load_mining_result_file(args.text("b"));
   if (!loaded_a.ok() || !loaded_b.ok()) {
     err << (!loaded_a.ok() ? loaded_a : loaded_b).error().to_string() << "\n";
     return 2;
@@ -869,7 +692,7 @@ int run_compare(const std::vector<std::string>& args_raw, std::ostream& out,
   core::LoadedMiningResult b = std::move(loaded_b).value();
 
   core::RuleParams rule_params;
-  rule_params.min_lift = min_lift.value();
+  rule_params.min_lift = args.number("min-lift");
   auto keyword_rules = [&](const core::LoadedMiningResult& archive)
       -> std::vector<core::Rule> {
     const auto id = archive.catalog.find(keyword);
@@ -901,48 +724,29 @@ int run_compare(const std::vector<std::string>& args_raw, std::ostream& out,
   return 0;
 }
 
-int run_snapshot(const std::vector<std::string>& args_raw, std::ostream& out,
-                 std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string out_path = args.get_or("out", "");
-  if (out_path.empty()) {
-    err << "--out is required (snapshot file to write)\n";
-    return 2;
-  }
-
+int run_snapshot(const Args& args, std::ostream& out, std::ostream& err) {
+  const std::string& out_path = args.text("out");
   core::RuleSnapshot snapshot;
-  if (const auto archive_path = args.get("from-itemsets");
-      archive_path.has_value()) {
+  if (const std::string& archive_path = args.text("from-itemsets");
+      !archive_path.empty()) {
     // Convert a v1 text archive (`itemsets --save`); rule and pruning
     // thresholds come from the flags, as in `mine --load`.
-    const auto flags = read_rule_flags(args);
-    if (!flags.ok()) {
-      err << flags.error().to_string() << "\n";
-      return 2;
-    }
-    if (!reject_unused(args, err)) return 2;
-    auto loaded = core::load_mining_result_file(*archive_path);
+    auto loaded = core::load_mining_result_file(archive_path);
     if (!loaded.ok()) {
       err << loaded.error().to_string() << "\n";
       return 2;
     }
+    const RuleFlags flags = read_rule_flags(args);
     core::LoadedMiningResult archive = std::move(loaded).value();
     snapshot = core::build_rule_snapshot(std::move(archive.result),
                                          std::move(archive.catalog),
-                                         flags.value().rules,
-                                         flags.value().pruning);
+                                         flags.rules, flags.pruning);
   } else {
     auto loaded = load_trace(args);
     if (!loaded.ok()) {
       err << loaded.error().to_string() << "\n";
       return 2;
     }
-    if (!reject_unused(args, err)) return 2;
     LoadedTrace trace = std::move(loaded).value();
     const analysis::WorkflowConfig config = trace.config;
     auto mined = analysis::mine(std::move(trace.table), config);
@@ -962,47 +766,16 @@ int run_snapshot(const std::vector<std::string>& args_raw, std::ostream& out,
   return 0;
 }
 
-int run_serve(const std::vector<std::string>& args_raw, std::ostream& out,
-              std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string snapshot_path = args.get_or("snapshot", "");
-  const std::string host = args.get_or("host", "127.0.0.1");
-  const auto port = args.get_uint("port", 8080);
-  const auto threads = args.get_uint("threads", 4);
+int run_serve(const Args& args, std::ostream& out, std::ostream& err) {
+  const std::string& snapshot_path = args.text("snapshot");
   const bool check_only = args.has("check");
-  const std::string stats_json_path = args.get_or("stats-json", "");
-  const std::string metrics_out_path = args.get_or("metrics-out", "");
-  const auto slow_query_ms = args.get_double("slow-query-ms", 0.0);
-  if (!configure_logging(args, err)) return 2;
-  FlightDumpSession flight;
-  if (!flight.arm(args, err)) return 2;
-  TraceSession session(args, err);
-  if (!port.ok() || !threads.ok() || !slow_query_ms.ok()) {
-    err << (!port.ok()      ? port.error()
-            : !threads.ok() ? threads.error()
-                            : slow_query_ms.error())
-               .to_string()
-        << "\n";
-    return 2;
-  }
-  if (slow_query_ms.value() < 0.0) {
+  const double slow_query_ms = args.number("slow-query-ms");
+  if (slow_query_ms < 0.0) {
     err << "--slow-query-ms must be >= 0\n";
     return 2;
   }
-  if (snapshot_path.empty()) {
-    err << "--snapshot is required (file from `gpumine snapshot`)\n";
-    return 2;
-  }
-  if (port.value() > 65535) {
-    err << "--port must be <= 65535\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
+  Observability observability(args);
+  if (!observability.start(err)) return 2;
 
   const auto build_begin = std::chrono::steady_clock::now();
   Result<core::RuleSnapshot> snapshot = [&] {
@@ -1025,25 +798,26 @@ int run_serve(const std::vector<std::string>& args_raw, std::ostream& out,
       << build_seconds << "s\n";
 
   serve::RequestHandler handler(std::move(engine), snapshot_path);
-  if (slow_query_ms.value() > 0.0) {
+  if (slow_query_ms > 0.0) {
     // The slow-query log reads the request's spans from the tracer, so
     // at least ring mode must be on for the subtree to exist.
-    handler.set_slow_query_ns(
-        static_cast<std::uint64_t>(slow_query_ms.value() * 1e6));
+    handler.set_slow_query_ns(static_cast<std::uint64_t>(slow_query_ms * 1e6));
     Tracer::instance().set_ring_mode(true);
   }
   serve::ServerConfig config;
-  config.host = host;
-  config.port = static_cast<std::uint16_t>(port.value());
-  config.num_threads = static_cast<std::size_t>(threads.value());
+  config.host = args.text("host");
+  config.port = static_cast<std::uint16_t>(args.uint("port"));
+  config.num_threads = static_cast<std::size_t>(args.uint("threads"));
   serve::Server server(handler, config);
   const auto started = server.start();
   if (!started.ok()) {
     err << started.error().to_string() << "\n";
     return 1;
   }
-  out << "serving on " << host << ':' << server.port() << " with "
+  out << "serving on " << config.host << ':' << server.port() << " with "
       << config.num_threads << " threads\n";
+  // --check's /metrics scrape, which --metrics-out then writes.
+  std::string checked_metrics;
   if (check_only) {
     // Exercise the handler once so --check verifies the request path
     // (and a --trace session has request spans to export).
@@ -1069,71 +843,36 @@ int run_serve(const std::vector<std::string>& args_raw, std::ostream& out,
       return 1;
     }
     out << "metrics check ok: " << lint.value() << " series\n";
-    server.stop();
-    if (!stats_json_path.empty() &&
-        !write_text_file(stats_json_path,
-                         handler.handle("GET", "/stats").body, err)) {
-      return 1;
+    checked_metrics = metrics.body;
+  } else {
+    g_serve_stop = 0;
+    std::signal(SIGINT, handle_serve_signal);
+    std::signal(SIGTERM, handle_serve_signal);
+    out.flush();
+    while (g_serve_stop == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
-    if (!metrics_out_path.empty() &&
-        !write_metrics_file(metrics_out_path, metrics.body, out, err)) {
-      return 1;
-    }
-    return session.finish(out) ? 0 : 1;
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
   }
-
-  g_serve_stop = 0;
-  std::signal(SIGINT, handle_serve_signal);
-  std::signal(SIGTERM, handle_serve_signal);
-  out.flush();
-  while (g_serve_stop == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
   server.stop();
-  if (!stats_json_path.empty() &&
-      !write_text_file(stats_json_path, handler.handle("GET", "/stats").body,
-                       err)) {
+  if (!observability.write_reports(
+          [&] { return handler.handle("GET", "/stats").body; },
+          [&] {
+            return check_only ? checked_metrics
+                              : handler.handle("GET", "/metrics").body;
+          },
+          out, err)) {
     return 1;
   }
-  if (!metrics_out_path.empty() &&
-      !write_metrics_file(metrics_out_path,
-                          handler.handle("GET", "/metrics").body, out, err)) {
-    return 1;
-  }
-  out << "stopped\n";
-  return session.finish(out) ? 0 : 1;
+  if (!check_only) out << "stopped\n";
+  return observability.finish(out, err) ? 0 : 1;
 }
 
-int run_query(const std::vector<std::string>& args_raw, std::ostream& out,
-              std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string host = args.get_or("host", "127.0.0.1");
-  const auto port = args.get_uint("port", 8080);
-  const std::string keyword = args.get_or("keyword", "");
-  const std::string items = args.get_or("items", "");
-  const bool stats = args.has("stats");
-  const bool reload = args.has("reload");
-  const bool health = args.has("health");
-  TraceSession session(args, err);
-  if (!port.ok()) {
-    err << port.error().to_string() << "\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
-  const int actions = (keyword.empty() ? 0 : 1) + (items.empty() ? 0 : 1) +
-                      (stats ? 1 : 0) + (reload ? 1 : 0) + (health ? 1 : 0);
-  if (actions != 1) {
-    err << "pick exactly one of --keyword ITEM, --items A,B, --stats, "
-           "--reload, --health\n";
-    return 2;
-  }
+int run_query(const Args& args, std::ostream& out, std::ostream& err) {
+  const std::string& keyword = args.text("keyword");
+  const std::string& items = args.text("items");
+  TraceSession session(args.text("trace"));
 
   std::string method = "GET";
   std::string target;
@@ -1148,9 +887,9 @@ int run_query(const std::vector<std::string>& args_raw, std::ostream& out,
       first = false;
       target += percent_encode(name);
     }
-  } else if (stats) {
+  } else if (args.has("stats")) {
     target = "/stats";
-  } else if (reload) {
+  } else if (args.has("reload")) {
     method = "POST";
     target = "/reload";
   } else {
@@ -1159,7 +898,8 @@ int run_query(const std::vector<std::string>& args_raw, std::ostream& out,
 
   const auto response = [&] {
     GPUMINE_SPAN("client/request");
-    return serve::http_request(host, static_cast<std::uint16_t>(port.value()),
+    return serve::http_request(args.text("host"),
+                               static_cast<std::uint16_t>(args.uint("port")),
                                method, target);
   }();
   if (!response.ok()) {
@@ -1170,25 +910,13 @@ int run_query(const std::vector<std::string>& args_raw, std::ostream& out,
   if (response.value().body.empty() || response.value().body.back() != '\n') {
     out << "\n";
   }
-  if (!session.finish(out)) return 1;
+  if (!session.finish(out, err)) return 1;
   return response.value().status >= 200 && response.value().status < 300 ? 0
                                                                          : 1;
 }
 
-int run_trace_check(const std::vector<std::string>& args_raw,
-                    std::ostream& out, std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string file = args.get_or("file", "");
-  if (file.empty()) {
-    err << "--file is required (a trace written by --trace)\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
+int run_trace_check(const Args& args, std::ostream& out, std::ostream& err) {
+  const std::string& file = args.text("file");
   const auto checked = validate_chrome_trace_file(file);
   if (!checked.ok()) {
     err << "invalid trace: " << checked.error().to_string() << "\n";
@@ -1199,20 +927,8 @@ int run_trace_check(const std::vector<std::string>& args_raw,
   return 0;
 }
 
-int run_metrics_check(const std::vector<std::string>& args_raw,
-                      std::ostream& out, std::ostream& err) {
-  auto parsed = Args::parse(args_raw);
-  if (!parsed.ok()) {
-    err << parsed.error().to_string() << "\n";
-    return 2;
-  }
-  const Args& args = parsed.value();
-  const std::string file = args.get_or("file", "");
-  if (file.empty()) {
-    err << "--file is required (an exposition file from --metrics-out)\n";
-    return 2;
-  }
-  if (!reject_unused(args, err)) return 2;
+int run_metrics_check(const Args& args, std::ostream& out, std::ostream& err) {
+  const std::string& file = args.text("file");
   const auto checked = validate_prometheus_file(file);
   if (!checked.ok()) {
     err << "invalid metrics: " << checked.error().to_string() << "\n";
@@ -1223,26 +939,141 @@ int run_metrics_check(const std::vector<std::string>& args_raw,
   return 0;
 }
 
+struct Command {
+  std::string_view name;
+  Usage usage;
+  int (*run)(const Args&, std::ostream&, std::ostream&);
+};
+
+// Every command's flags, declared once; parsing and `gpumine help` both
+// read this table.
+const std::vector<Command>& commands() {
+  using K = FlagKind;
+  static const std::vector<Command> table = {
+      {"synth",
+       {{{"trace", K::kChoice, "pai|supercloud|philly", "", true},
+         {"out", K::kText, "trace.csv", "", true},
+         {"jobs", K::kUint, "N", "20000"},
+         {"seed", K::kUint, "S", "42"}}},
+       run_synth},
+      {"itemsets",
+       {join({kTraceFlags, kRuleFlags,
+              {{"top", K::kUint, "N", "25"},
+               {"save", K::kText, "FILE"},
+               {"family", K::kChoice, "all|closed|maximal", "all"},
+               {"stats", K::kSwitch}}})},
+       run_itemsets},
+      {"mine",
+       {join({{{"keyword", K::kText, "ITEM", "", true}}, kRuleFlags,
+              {{"format", K::kChoice, "table|csv|json|md", "table"},
+               {"max-rows", K::kUint, "N", "10"},
+               {"stats", K::kSwitch}},
+              kObservabilityFlags}),
+        {kTraceFlags, {{"load", K::kText, "FILE"}}}},
+       run_mine},
+      {"predict",
+       {join({kTraceFlags, kRuleFlags,
+              {{"target", K::kText, "ITEM", "", true},
+               {"holdout", K::kDouble, "F", "0.3"},
+               {"min-confidence", K::kDouble, "F", "0.7"},
+               {"seed", K::kUint, "N", "1"}}})},
+       run_predict},
+      {"report",
+       {{{"csv", K::kText, "trace.csv", "", true},
+         {"principal", K::kText, "COL", "User"},
+         {"runtime", K::kText, "COL", "Runtime"},
+         {"sm-util", K::kText, "COL", "SM Util"},
+         {"status", K::kText, "COL", "Status"},
+         {"gpus", K::kText, "COL"},
+         {"failed-label", K::kText, "L", "Failed"},
+         {"killed-label", K::kText, "L", "Killed"},
+         {"sort", K::kChoice, "idle|failed|hours|rate", "idle"},
+         {"top", K::kUint, "N", "10"}}},
+       run_report},
+      {"digest",
+       {join({kTraceFlags, kRuleFlags,
+              {{"keyword", K::kText, "ITEM", "", true},
+               {"max-rules", K::kUint, "N", "6"},
+               {"fdr", K::kDouble, "Q", "0.01"},
+               {"negative-confidence", K::kDouble, "F", "0.7"},
+               {"exclude", K::kText, "A,B"}}})},
+       run_digest},
+      {"compare",
+       {{{"a", K::kText, "x.itemsets", "", true},
+         {"b", K::kText, "y.itemsets", "", true},
+         {"keyword", K::kText, "ITEM", "", true},
+         {"min-lift", K::kDouble, "F", "1.5"}}},
+       run_compare},
+      {"snapshot",
+       {join({{{"out", K::kText, "FILE", "", true}}, kRuleFlags}),
+        {kTraceFlags, {{"from-itemsets", K::kText, "FILE"}}}},
+       run_snapshot},
+      {"serve",
+       {join({{{"snapshot", K::kText, "FILE", "", true},
+               {"host", K::kText, "H", "127.0.0.1"},
+               {"port", K::kPort, "P", "8080"},
+               {"threads", K::kUint, "N", "4"},
+               {"check", K::kSwitch},
+               {"slow-query-ms", K::kDouble, "F", "0"}},
+              kObservabilityFlags})},
+       run_serve},
+      {"query",
+       {{{"host", K::kText, "H", "127.0.0.1"},
+         {"port", K::kPort, "P", "8080"},
+         kTraceFileFlag},
+        {{{"keyword", K::kText, "ITEM"}},
+         {{"items", K::kText, "A,B"}},
+         {{"stats", K::kSwitch}},
+         {{"reload", K::kSwitch}},
+         {{"health", K::kSwitch}}}},
+       run_query},
+      {"trace-check",
+       {{{"file", K::kText, "trace.json", "", true}}},
+       run_trace_check},
+      {"metrics-check",
+       {{{"file", K::kText, "metrics.prom", "", true}}},
+       run_metrics_check},
+  };
+  return table;
+}
+
+int run_help(std::ostream& out) {
+  out << "gpumine - interpretable GPU-cluster trace analysis via "
+         "association rule mining\n\n"
+         "usage:\n";
+  for (const Command& command : commands()) {
+    out << render_usage(command.name, command.usage);
+  }
+  out << "  gpumine help\n";
+  return 0;
+}
+
+}  // namespace
+
+std::vector<std::pair<std::string_view, const Usage*>> command_usages() {
+  std::vector<std::pair<std::string_view, const Usage*>> out;
+  for (const Command& command : commands()) {
+    out.emplace_back(command.name, &command.usage);
+  }
+  return out;
+}
+
 int run(const std::vector<std::string>& args, std::ostream& out,
         std::ostream& err) {
   if (args.empty() || args[0] == "help" || args[0] == "--help") {
     return run_help(out);
   }
-  const std::string command = args[0];
-  const std::vector<std::string> rest(args.begin() + 1, args.end());
-  if (command == "synth") return run_synth(rest, out, err);
-  if (command == "itemsets") return run_itemsets(rest, out, err);
-  if (command == "mine") return run_mine(rest, out, err);
-  if (command == "predict") return run_predict(rest, out, err);
-  if (command == "report") return run_report(rest, out, err);
-  if (command == "digest") return run_digest(rest, out, err);
-  if (command == "compare") return run_compare(rest, out, err);
-  if (command == "snapshot") return run_snapshot(rest, out, err);
-  if (command == "serve") return run_serve(rest, out, err);
-  if (command == "query") return run_query(rest, out, err);
-  if (command == "trace-check") return run_trace_check(rest, out, err);
-  if (command == "metrics-check") return run_metrics_check(rest, out, err);
-  err << "unknown command '" << command << "' (try: gpumine help)\n";
+  for (const Command& command : commands()) {
+    if (command.name != args[0]) continue;
+    const auto parsed = Args::parse(
+        command.usage, std::vector<std::string>(args.begin() + 1, args.end()));
+    if (!parsed.ok()) {
+      err << parsed.error().to_string() << "\n";
+      return 2;
+    }
+    return command.run(parsed.value(), out, err);
+  }
+  err << "unknown command '" << args[0] << "' (try: gpumine help)\n";
   return 2;
 }
 

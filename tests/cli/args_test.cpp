@@ -2,74 +2,146 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace gpumine::cli {
 namespace {
 
+const Usage kUsage = {{{"csv", FlagKind::kText, "FILE", "", true},
+                       {"min-support", FlagKind::kDouble, "F", "0.05"},
+                       {"top", FlagKind::kUint, "N", "25"},
+                       {"format", FlagKind::kChoice, "table|csv", "table"},
+                       {"port", FlagKind::kPort, "P", "8080"},
+                       {"stats", FlagKind::kSwitch}}};
+
+Result<Args> parse(const std::vector<std::string>& raw) {
+  return Args::parse(kUsage, raw);
+}
+
+std::string error_of(const std::vector<std::string>& raw) {
+  const auto parsed = parse(raw);
+  return parsed.ok() ? std::string{} : parsed.error().to_string();
+}
+
 TEST(Args, FlagFormsAndPositionals) {
-  const auto parsed = Args::parse(
-      {"mine", "--csv", "trace.csv", "--min-support=0.1", "--verbose",
-       "yes"});
-  ASSERT_TRUE(parsed.ok());
+  const auto parsed =
+      parse({"--csv", "trace.csv", "--min-support=0.1", "--stats"});
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   const Args& args = parsed.value();
-  // A non-flag token after "--name" is that flag's value, so the only
-  // positional is the leading command word.
-  EXPECT_EQ(args.positionals(), (std::vector<std::string>{"mine"}));
-  EXPECT_EQ(args.get("csv"), "trace.csv");
-  EXPECT_EQ(args.get("min-support"), "0.1");
-  EXPECT_EQ(args.get("verbose"), "yes");
-  EXPECT_FALSE(args.get("missing").has_value());
+  EXPECT_EQ(args.text("csv"), "trace.csv");
+  EXPECT_DOUBLE_EQ(args.number("min-support"), 0.1);
+  EXPECT_TRUE(args.has("stats"));
+  EXPECT_FALSE(args.has("top"));
+  // No command takes positionals: a stray token is named and rejected.
+  EXPECT_NE(error_of({"--csv", "t.csv", "extra"}).find("'extra'"),
+            std::string::npos);
+  EXPECT_NE(error_of({"first", "--csv", "t.csv"}).find("'first'"),
+            std::string::npos);
 }
 
 TEST(Args, GetOrFallback) {
-  const auto parsed = Args::parse({"--a", "x"});
+  const auto parsed = parse({"--csv", "x", "--top", "3"});
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().get_or("a", "d"), "x");
-  EXPECT_EQ(parsed.value().get_or("b", "d"), "d");
+  EXPECT_EQ(parsed.value().uint("top"), 3u);
+  EXPECT_EQ(parsed.value().text("format"), "table");
+  EXPECT_DOUBLE_EQ(parsed.value().number("min-support"), 0.05);
+  // A later occurrence overrides an earlier one.
+  const auto twice = parse({"--csv", "a", "--csv", "b"});
+  ASSERT_TRUE(twice.ok());
+  EXPECT_EQ(twice.value().text("csv"), "b");
 }
 
 TEST(Args, NumericGetters) {
-  const auto parsed = Args::parse({"--f", "0.25", "--n", "42"});
+  const auto parsed = parse({"--csv", "x", "--min-support", "0.25", "--top",
+                             "42", "--port", "65535"});
   ASSERT_TRUE(parsed.ok());
   const Args& args = parsed.value();
-  EXPECT_DOUBLE_EQ(args.get_double("f", 0.0).value(), 0.25);
-  EXPECT_EQ(args.get_uint("n", 0).value(), 42u);
-  EXPECT_DOUBLE_EQ(args.get_double("absent", 1.5).value(), 1.5);
-  EXPECT_EQ(args.get_uint("absent", 7).value(), 7u);
+  EXPECT_DOUBLE_EQ(args.number("min-support"), 0.25);
+  EXPECT_EQ(args.uint("top"), 42u);
+  EXPECT_EQ(args.uint("port"), 65535u);
+  // Only declared names may be read.
+  EXPECT_THROW((void)args.text("absent"), std::logic_error);
 }
 
 TEST(Args, NumericParseErrors) {
-  const auto parsed = Args::parse({"--f", "abc", "--n", "-3"});
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(parsed.value().get_double("f", 0.0).ok());
-  EXPECT_FALSE(parsed.value().get_uint("n", 0).ok());
+  EXPECT_NE(error_of({"--csv", "x", "--min-support", "abc"})
+                .find("--min-support"),
+            std::string::npos);
+  EXPECT_NE(error_of({"--csv", "x", "--top", "-3"}).find("--top"),
+            std::string::npos);
+  EXPECT_NE(error_of({"--csv", "x", "--top", "3x"}).find("--top"),
+            std::string::npos);
+  EXPECT_NE(error_of({"--csv", "x", "--port", "70000"}).find("--port"),
+            std::string::npos);
+  EXPECT_NE(error_of({"--csv", "x", "--format", "yaml"}).find("--format"),
+            std::string::npos);
+  EXPECT_TRUE(parse({"--csv", "x", "--format", "csv"}).ok());
 }
 
 TEST(Args, BareDoubleDashIsError) {
-  EXPECT_FALSE(Args::parse({"--"}).ok());
+  EXPECT_FALSE(parse({"--"}).ok());
 }
 
 TEST(Args, ValueStartingWithDashDash) {
-  // "--a --b" treats --b as a new switch, leaving --a valueless.
-  const auto parsed = Args::parse({"--a", "--b", "v"});
+  // A value flag followed by another flag, or by nothing, has no value.
+  EXPECT_NE(error_of({"--csv", "--stats"}).find("--csv: needs a value"),
+            std::string::npos);
+  EXPECT_NE(error_of({"--stats", "--csv"}).find("--csv: needs a value"),
+            std::string::npos);
+  // The "=" form can still carry a value that starts with "--".
+  const auto parsed = parse({"--csv=--odd"});
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().get("a"), "");
-  EXPECT_EQ(parsed.value().get("b"), "v");
+  EXPECT_EQ(parsed.value().text("csv"), "--odd");
 }
 
-TEST(Args, UnusedTracksUnqueriedFlags) {
-  const auto parsed = Args::parse({"--known", "1", "--typo", "2"});
-  ASSERT_TRUE(parsed.ok());
-  const Args& args = parsed.value();
-  (void)args.get("known");
-  EXPECT_EQ(args.unused(), std::vector<std::string>{"typo"});
-  (void)args.get("typo");
-  EXPECT_TRUE(args.unused().empty());
+TEST(Args, SwitchTakesNoValue) {
+  EXPECT_NE(error_of({"--csv", "x", "--stats=no"}).find("--stats"),
+            std::string::npos);
+  EXPECT_NE(error_of({"--csv", "x", "--stats", "no"}).find("'no'"),
+            std::string::npos);
+}
+
+TEST(Args, UndeclaredFlagsAreRejected) {
+  EXPECT_EQ(error_of({"--csv", "x", "--typo", "2"}), "unknown flag --typo");
+}
+
+TEST(Args, RequiredFlagsAndSources) {
+  EXPECT_EQ(error_of({"--top", "3"}), "--csv FILE is required");
+  EXPECT_EQ(error_of({"--csv", ""}), "--csv FILE is required");
+
+  const Usage sources = {
+      {{"keyword", FlagKind::kText, "ITEM"}},
+      {{{"csv", FlagKind::kText, "FILE"}, {"bare", FlagKind::kText, "COLS"}},
+       {{"load", FlagKind::kText, "FILE"}}}};
+  const auto with = [&](const std::vector<std::string>& raw) {
+    const auto parsed = Args::parse(sources, raw);
+    return parsed.ok() ? std::string{} : parsed.error().to_string();
+  };
+  EXPECT_EQ(with({"--csv", "t", "--bare", "Status"}), "");
+  EXPECT_EQ(with({"--load", "a"}), "");
+  EXPECT_EQ(with({}), "pick exactly one of --csv FILE, --load FILE");
+  EXPECT_EQ(with({"--csv", "t", "--load", "a"}),
+            "pick exactly one of --csv FILE, --load FILE");
+  EXPECT_EQ(with({"--load", "a", "--bare", "Status"}),
+            "--bare: cannot be combined with --load");
+}
+
+TEST(Args, RenderUsage) {
+  const Usage usage = {
+      {{"keyword", FlagKind::kText, "ITEM", "", true},
+       {"stats", FlagKind::kSwitch}},
+      {{{"csv", FlagKind::kText, "FILE"}, {"bare", FlagKind::kText, "COLS"}},
+       {{"load", FlagKind::kText, "FILE"}}}};
+  EXPECT_EQ(render_usage("mine", usage),
+            "  gpumine mine (--csv FILE [--bare COLS] | --load FILE) "
+            "--keyword ITEM [--stats]\n");
 }
 
 TEST(Args, EmptyInput) {
-  const auto parsed = Args::parse({});
+  const Usage none = {{{"stats", FlagKind::kSwitch}}};
+  const auto parsed = Args::parse(none, {});
   ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed.value().positionals().empty());
+  EXPECT_FALSE(parsed.value().has("stats"));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -664,6 +665,136 @@ TEST(Cli, TraceCheckRejectsMissingAndMalformedFiles) {
   const auto result = run_cli({"trace-check", "--file", bad});
   EXPECT_EQ(result.code, 1);
   EXPECT_NE(result.err.find("invalid trace"), std::string::npos);
+}
+
+TEST(Cli, RejectsStrayPositionals) {
+  const std::string csv = temp_path("cli_stray.csv");
+  ASSERT_EQ(run_cli({"synth", "--trace", "philly", "--jobs", "1000", "--out",
+                     csv})
+                .code,
+            0);
+  const auto mine = run_cli({"mine", "--csv", csv, "--bare", "Status",
+                             "--keyword", "Failed", "Killed"});
+  EXPECT_EQ(mine.code, 2);
+  EXPECT_NE(mine.err.find("'Killed'"), std::string::npos) << mine.err;
+  const auto synth = run_cli({"synth", "pai", "--trace", "philly", "--out",
+                              temp_path("cli_stray_out.csv")});
+  EXPECT_EQ(synth.code, 2);
+  EXPECT_NE(synth.err.find("'pai'"), std::string::npos) << synth.err;
+}
+
+TEST(Cli, RejectsWrongValueShapes) {
+  const std::string csv = temp_path("cli_shapes.csv");
+  ASSERT_EQ(run_cli({"synth", "--trace", "philly", "--jobs", "1000", "--out",
+                     csv})
+                .code,
+            0);
+  // An output flag with no value names the flag instead of writing nothing.
+  for (const char* flag : {"--trace", "--stats-json", "--metrics-out",
+                           "--flight-dump", "--log-file"}) {
+    const auto result = run_cli({"mine", "--csv", csv, "--keyword", "Failed",
+                                 "--bare", "Status", flag});
+    EXPECT_EQ(result.code, 2) << flag;
+    EXPECT_NE(result.err.find(std::string(flag) + ": needs a value"),
+              std::string::npos)
+        << result.err;
+  }
+  // A switch given a value is an error, not a silent "on".
+  const auto stats = run_cli({"itemsets", "--csv", csv, "--stats=no"});
+  EXPECT_EQ(stats.code, 2);
+  EXPECT_NE(stats.err.find("--stats"), std::string::npos) << stats.err;
+  const auto check =
+      run_cli({"serve", "--snapshot", "/no/such.snap", "--check=no"});
+  EXPECT_EQ(check.code, 2);
+  EXPECT_NE(check.err.find("--check"), std::string::npos) << check.err;
+}
+
+TEST(Cli, ValidatesBeforeWorking) {
+  const std::string csv = temp_path("cli_validate.csv");
+  const std::string stats = temp_path("cli_validate_stats.json");
+  ASSERT_EQ(run_cli({"synth", "--trace", "philly", "--jobs", "1000", "--out",
+                     csv})
+                .code,
+            0);
+  std::remove(stats.c_str());
+  const auto mine = run_cli({"mine", "--csv", csv, "--keyword", "Failed",
+                             "--format", "yaml", "--stats-json", stats});
+  EXPECT_EQ(mine.code, 2);
+  EXPECT_NE(mine.err.find("--format"), std::string::npos) << mine.err;
+  EXPECT_FALSE(std::ifstream(stats).good()) << "wrote " << stats;
+  // The port check is the one `serve` uses; nothing is dialled.
+  const auto query = run_cli({"query", "--port", "70000", "--health"});
+  EXPECT_EQ(query.code, 2);
+  EXPECT_NE(query.err.find("--port"), std::string::npos) << query.err;
+}
+
+// `mine --csv | --load` and `snapshot --csv | --from-itemsets` take
+// their input from exactly one source; the other source's flags are
+// rejected, not ignored.
+TEST(Cli, SourceExclusiveFlagsAreRejected) {
+  const std::string csv = temp_path("cli_sources.csv");
+  const std::string archive = temp_path("cli_sources.itemsets");
+  ASSERT_EQ(run_cli({"synth", "--trace", "philly", "--jobs", "1000", "--out",
+                     csv})
+                .code,
+            0);
+  ASSERT_EQ(run_cli({"itemsets", "--csv", csv, "--bare", "Status", "--save",
+                     archive})
+                .code,
+            0);
+  ASSERT_EQ(run_cli({"mine", "--load", archive, "--keyword", "Failed"}).code,
+            0);
+  EXPECT_EQ(run_cli({"mine", "--load", archive, "--keyword", "Failed",
+                     "--bare", "Status"})
+                .code,
+            2);
+  EXPECT_EQ(run_cli({"mine", "--load", archive, "--csv", csv, "--keyword",
+                     "Failed"})
+                .code,
+            2);
+  EXPECT_EQ(run_cli({"snapshot", "--from-itemsets", archive, "--out",
+                     temp_path("cli_sources.snap"), "--min-support", "0.1"})
+                .code,
+            2);
+}
+
+// Every declared flag is listed in its command's help entry and is
+// accepted by that command's parser.
+TEST(Cli, EveryDeclaredFlagIsInHelpAndAccepted) {
+  const std::string help = run_cli({"help"}).out;
+  for (const auto& [command, usage] : command_usages()) {
+    const std::size_t at = help.find("  gpumine " + std::string(command));
+    ASSERT_NE(at, std::string::npos) << command;
+    const std::string entry =
+        help.substr(at, help.find("  gpumine ", at + 1) - at);
+    std::vector<Flag> flags = usage->flags;
+    for (const auto& source : usage->sources) {
+      flags.insert(flags.end(), source.begin(), source.end());
+    }
+    for (const Flag& flag : flags) {
+      const std::string name = "--" + std::string(flag.name);
+      const std::string shown =
+          flag.kind == FlagKind::kSwitch
+              ? name
+              : name + " " + std::string(flag.placeholder);
+      EXPECT_NE(entry.find(shown), std::string::npos) << command << " " << name;
+      std::string value = "1";
+      if (flag.kind == FlagKind::kText) value = "x";
+      if (flag.kind == FlagKind::kChoice) {
+        value = flag.placeholder.substr(0, flag.placeholder.find('|'));
+      }
+      std::vector<std::string> raw = {name};
+      if (flag.kind != FlagKind::kSwitch) raw.push_back(value);
+      const auto parsed = Args::parse(*usage, raw);
+      if (!parsed.ok()) {
+        EXPECT_EQ(parsed.error().to_string().find("unknown flag"),
+                  std::string::npos)
+            << command << " " << parsed.error().to_string();
+        EXPECT_EQ(parsed.error().context.find(name), std::string::npos)
+            << command << " " << parsed.error().to_string();
+      }
+    }
+  }
 }
 
 }  // namespace
