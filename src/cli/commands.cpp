@@ -76,10 +76,14 @@ const std::vector<Flag> kTraceFlags = {
     {"group", FlagKind::kText, "col,.."},
 };
 
-// Rule and pruning thresholds plus the worker count (read_rule_flags).
+// The worker count, which every trace loader reads, and the rule and
+// pruning thresholds (read_rule_flags), which only the commands that
+// generate rules take: `predict` reads --min-lift but never prunes.
+const Flag kThreadsFlag = {"threads", FlagKind::kUint, "N", "1"};
+const Flag kMinLiftFlag = {"min-lift", FlagKind::kDouble, "F", "1.5"};
 const std::vector<Flag> kRuleFlags = {
-    {"threads", FlagKind::kUint, "N", "1"},
-    {"min-lift", FlagKind::kDouble, "F", "1.5"},
+    kThreadsFlag,
+    kMinLiftFlag,
     {"c-lift", FlagKind::kDouble, "F", "1.5"},
     {"c-supp", FlagKind::kDouble, "F", "1.5"},
 };
@@ -122,8 +126,7 @@ Result<LoadedTrace> load_trace(const Args& args) {
     return Error{"--partitions", "must be >= 1"};
   }
   // --threads drives the CSV parser's chunking too.
-  const RuleFlags flags = read_rule_flags(args);
-  const std::size_t threads = flags.rules.num_threads;
+  const auto threads = static_cast<std::size_t>(args.uint("threads"));
 
   prep::CsvParams csv;
   csv.force_categorical = split_list(args.text("categorical"));
@@ -143,8 +146,7 @@ Result<LoadedTrace> load_trace(const Args& args) {
   // Mining, rule generation and the prep stages share one worker count.
   config.mining.num_threads = threads;
   config.prep_threads = threads;
-  config.rules = flags.rules;
-  config.pruning = flags.pruning;
+  config.rules.num_threads = threads;
   config.engine = args.text("engine") == "son"
                       ? analysis::MiningEngine::kSon
                       : analysis::MiningEngine::kDirect;
@@ -208,6 +210,15 @@ class TraceSession {
  private:
   std::string path_;
 };
+
+// A missing or unreadable input file is a usage error (exit 2), as it
+// is for every --csv reader; a file that opens but fails to load or
+// validate is a runtime failure (exit 1).
+bool input_readable(const std::string& path, std::ostream& err) {
+  if (std::ifstream(path, std::ios::binary)) return true;
+  err << Error{path, "cannot open file"}.to_string() << "\n";
+  return false;
+}
 
 bool write_text_file(const std::string& path, const std::string& text,
                      std::ostream& err) {
@@ -445,10 +456,6 @@ int run_mine(const Args& args, std::ostream& out, std::ostream& err) {
       err << loaded.error().to_string() << "\n";
       return 2;
     }
-    // Rule/pruning thresholds still apply when replaying saved itemsets.
-    const RuleFlags flags = read_rule_flags(args);
-    config.rules = flags.rules;
-    config.pruning = flags.pruning;
     core::LoadedMiningResult archive = std::move(loaded).value();
     result = std::move(archive.result);
     catalog = std::move(archive.catalog);
@@ -470,6 +477,10 @@ int run_mine(const Args& args, std::ostream& out, std::ostream& err) {
     catalog = std::move(mined.prepared.catalog);
     if (stats) out << result.metrics.summary();
   }
+  // Rule/pruning thresholds apply to saved itemsets as to a fresh trace.
+  const RuleFlags flags = read_rule_flags(args);
+  config.rules = flags.rules;
+  config.pruning = flags.pruning;
 
   const auto keyword_id = catalog.find(keyword);
   if (!keyword_id) {
@@ -522,7 +533,8 @@ int run_predict(const Args& args, std::ostream& out, std::ostream& err) {
   }
 
   LoadedTrace trace = std::move(loaded).value();
-  const auto& config = trace.config;
+  analysis::WorkflowConfig& config = trace.config;
+  config.rules.min_lift = args.number("min-lift");
 
   // Deterministic random holdout split.
   trace::Rng rng(args.uint("seed"));
@@ -627,7 +639,10 @@ int run_digest(const Args& args, std::ostream& out, std::ostream& err) {
   }
 
   LoadedTrace trace = std::move(loaded).value();
-  const auto config = trace.config;
+  analysis::WorkflowConfig& config = trace.config;
+  const RuleFlags flags = read_rule_flags(args);
+  config.rules = flags.rules;
+  config.pruning = flags.pruning;
   auto mined = analysis::mine(std::move(trace.table), config);
   const auto& catalog = mined.prepared.catalog;
   const auto keyword_id = catalog.find(keyword);
@@ -748,11 +763,11 @@ int run_snapshot(const Args& args, std::ostream& out, std::ostream& err) {
       return 2;
     }
     LoadedTrace trace = std::move(loaded).value();
-    const analysis::WorkflowConfig config = trace.config;
-    auto mined = analysis::mine(std::move(trace.table), config);
+    const RuleFlags flags = read_rule_flags(args);
+    auto mined = analysis::mine(std::move(trace.table), trace.config);
     snapshot = core::build_rule_snapshot(std::move(mined.mined),
                                          std::move(mined.prepared.catalog),
-                                         config.rules, config.pruning);
+                                         flags.rules, flags.pruning);
   }
 
   const auto saved = core::save_rule_snapshot_file(snapshot, out_path);
@@ -774,6 +789,7 @@ int run_serve(const Args& args, std::ostream& out, std::ostream& err) {
     err << "--slow-query-ms must be >= 0\n";
     return 2;
   }
+  if (!input_readable(snapshot_path, err)) return 2;
   Observability observability(args);
   if (!observability.start(err)) return 2;
 
@@ -917,6 +933,7 @@ int run_query(const Args& args, std::ostream& out, std::ostream& err) {
 
 int run_trace_check(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string& file = args.text("file");
+  if (!input_readable(file, err)) return 2;
   const auto checked = validate_chrome_trace_file(file);
   if (!checked.ok()) {
     err << "invalid trace: " << checked.error().to_string() << "\n";
@@ -929,6 +946,7 @@ int run_trace_check(const Args& args, std::ostream& out, std::ostream& err) {
 
 int run_metrics_check(const Args& args, std::ostream& out, std::ostream& err) {
   const std::string& file = args.text("file");
+  if (!input_readable(file, err)) return 2;
   const auto checked = validate_prometheus_file(file);
   if (!checked.ok()) {
     err << "invalid metrics: " << checked.error().to_string() << "\n";
@@ -957,8 +975,9 @@ const std::vector<Command>& commands() {
          {"seed", K::kUint, "S", "42"}}},
        run_synth},
       {"itemsets",
-       {join({kTraceFlags, kRuleFlags,
-              {{"top", K::kUint, "N", "25"},
+       {join({kTraceFlags,
+              {kThreadsFlag,
+               {"top", K::kUint, "N", "25"},
                {"save", K::kText, "FILE"},
                {"family", K::kChoice, "all|closed|maximal", "all"},
                {"stats", K::kSwitch}}})},
@@ -972,8 +991,10 @@ const std::vector<Command>& commands() {
         {kTraceFlags, {{"load", K::kText, "FILE"}}}},
        run_mine},
       {"predict",
-       {join({kTraceFlags, kRuleFlags,
-              {{"target", K::kText, "ITEM", "", true},
+       {join({kTraceFlags,
+              {kThreadsFlag,
+               kMinLiftFlag,
+               {"target", K::kText, "ITEM", "", true},
                {"holdout", K::kDouble, "F", "0.3"},
                {"min-confidence", K::kDouble, "F", "0.7"},
                {"seed", K::kUint, "N", "1"}}})},

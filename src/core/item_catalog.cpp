@@ -6,7 +6,7 @@ namespace gpumine::core {
 
 ItemId ItemCatalog::intern(std::string_view name) {
   GPUMINE_CHECK_ARG(!name.empty(), "item name must be non-empty");
-  if (auto it = index_.find(std::string(name)); it != index_.end()) {
+  if (auto it = index_.find(name); it != index_.end()) {
     return it->second;
   }
   const auto id = static_cast<ItemId>(names_.size());
@@ -26,7 +26,7 @@ ItemId ItemCatalog::intern(std::string_view attribute, std::string_view value) {
 }
 
 std::optional<ItemId> ItemCatalog::find(std::string_view name) const {
-  auto it = index_.find(std::string(name));
+  const auto it = index_.find(name);
   if (it == index_.end()) return std::nullopt;
   return it->second;
 }

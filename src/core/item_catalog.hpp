@@ -6,6 +6,8 @@
 // integers; names reappear only when rendering rules for the operator.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -41,8 +43,17 @@ class ItemCatalog {
   [[nodiscard]] bool empty() const { return names_.empty(); }
 
  private:
+  // Transparent hash and equality: find() looks a string_view up
+  // without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, ItemId> index_;
+  std::unordered_map<std::string, ItemId, NameHash, std::equal_to<>> index_;
 };
 
 }  // namespace gpumine::core

@@ -2,6 +2,8 @@
 // itemsets -> rules -> pruned-rules pipeline of Sec. III.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/frequent.hpp"
@@ -34,8 +36,17 @@ struct KeywordAnalysis {
   RuleStageMetrics stage;            // generation + pruning observability
 };
 
-/// Runs rule generation + keyword filtering + pruning over an existing
-/// mining result. Builds a throwaway SupportIndex; prefer the overload
+/// The pruning half of analyze_keyword, for rules generated once and
+/// shared: prunes `rules[i]` for i in `keyed` (the rules that mention
+/// `analysis.keyword`) and splits the survivors into cause and
+/// characteristic rules. Fills `analysis`'s cause, characteristic,
+/// prune_stats and the pruning fields of its stage.
+void prune_keyword(const std::vector<Rule>& rules,
+                   std::span<const std::size_t> keyed,
+                   const PruneParams& prune_params, KeywordAnalysis& analysis);
+
+/// Runs keyword rule generation + pruning over an existing mining
+/// result. Builds a throwaway SupportIndex; prefer the overload
 /// below when analyzing several keywords from one mining result.
 [[nodiscard]] KeywordAnalysis analyze_keyword(const MiningResult& mined,
                                               ItemId keyword,

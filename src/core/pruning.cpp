@@ -1,6 +1,8 @@
 #include "core/pruning.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/ensure.hpp"
@@ -8,11 +10,6 @@
 
 namespace gpumine::core {
 namespace {
-
-// Strict subset: a ⊂ b.
-bool proper_subset(const Itemset& a, const Itemset& b) {
-  return a.size() < b.size() && is_subset(a, b);
-}
 
 using BucketMap =
     std::unordered_map<Itemset, std::vector<std::size_t>, ItemsetHash,
@@ -47,13 +44,19 @@ std::vector<Rule> filter_keyword(const std::vector<Rule>& rules,
   return out;
 }
 
-std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
-                              const PruneParams& params, PruneStats* stats) {
+std::vector<Rule> prune_rules(const std::vector<Rule>& all,
+                              std::span<const std::size_t> subset,
+                              ItemId keyword, const PruneParams& params,
+                              PruneStats* stats) {
   GPUMINE_SPAN("rules/prune");
   params.validate();
   const double cl = params.c_lift;
   const double cs = params.c_supp;
-  const std::size_t n = rules.size();
+  const std::size_t n = subset.size();
+  // Everything below works on positions 0..n-1 of `subset`.
+  const auto rules = [&](std::size_t i) -> const Rule& {
+    return all[subset[i]];
+  };
   std::vector<bool> pruned(n, false);
   std::array<std::size_t, 4> by{0, 0, 0, 0};
 
@@ -68,9 +71,9 @@ std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
   std::vector<char> kw_in_consequent(n);
   for (std::size_t i = 0; i < n; ++i) {
     kw_in_antecedent[i] =
-        contains(rules[i].antecedent, keyword) ? char{1} : char{0};
+        contains(rules(i).antecedent, keyword) ? char{1} : char{0};
     kw_in_consequent[i] =
-        contains(rules[i].consequent, keyword) ? char{1} : char{0};
+        contains(rules(i).consequent, keyword) ? char{1} : char{0};
   }
 
   // Conditions 1 and 4 compare rules with identical consequents;
@@ -84,8 +87,8 @@ std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
   BucketMap by_antecedent;
   for (std::size_t i = 0; i < n; ++i) {
     if (kw_in_consequent[i] != 0 || kw_in_antecedent[i] != 0) {
-      by_consequent[rules[i].consequent].push_back(i);
-      by_antecedent[rules[i].antecedent].push_back(i);
+      by_consequent[rules(i).consequent].push_back(i);
+      by_antecedent[rules(i).antecedent].push_back(i);
     }
   }
 
@@ -93,25 +96,43 @@ std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
   std::size_t pair_comparisons = 0;
 
   // Walks one bucket: orders its rules by the length of the nested side
-  // (`nested` selects it), then subset-tests only strictly-shorter
-  // against strictly-longer — equal lengths can never nest, and the
-  // ordered scan visits exactly the (shorter, longer) pairs the old
-  // all-pairs loop found. `apply(i, j)` receives a candidate nested pair.
+  // (`nested` selects it), then subset-tests each rule only against the
+  // strictly longer ones — equal lengths can never nest, and the ordered
+  // scan visits exactly the (shorter, longer) pairs the old all-pairs
+  // loop found. `apply(i, j)` receives a nested pair. The scan reads
+  // each nested side's length and a one-bit-per-item (id mod 64)
+  // signature from flat arrays: a ⊂ b needs every bit of a set in b, so
+  // most non-nested pairs are rejected without reading either itemset.
+  std::vector<std::size_t> lengths;
+  std::vector<std::uint64_t> signatures;
   auto scan_bucket = [&](std::vector<std::size_t>& bucket,
                          const Itemset Rule::* nested, auto&& apply) {
     max_bucket = std::max(max_bucket, bucket.size());
     if (bucket.size() < 2) return;
     std::sort(bucket.begin(), bucket.end(),
               [&](std::size_t x, std::size_t y) {
-                return (rules[x].*nested).size() < (rules[y].*nested).size();
+                return (rules(x).*nested).size() < (rules(y).*nested).size();
               });
+    lengths.clear();
+    signatures.clear();
+    for (const std::size_t i : bucket) {
+      const Itemset& side = rules(i).*nested;
+      std::uint64_t bits = 0;
+      for (const ItemId item : side) bits |= std::uint64_t{1} << (item % 64);
+      lengths.push_back(side.size());
+      signatures.push_back(bits);
+    }
+    std::size_t longer = 0;  // first position with a longer nested side
     for (std::size_t p = 0; p < bucket.size(); ++p) {
-      for (std::size_t q = p + 1; q < bucket.size(); ++q) {
-        const std::size_t i = bucket[p];  // candidate shorter rule
-        const std::size_t j = bucket[q];  // candidate longer rule
-        if ((rules[i].*nested).size() >= (rules[j].*nested).size()) continue;
+      while (longer < bucket.size() && lengths[longer] <= lengths[p]) {
+        ++longer;
+      }
+      for (std::size_t q = longer; q < bucket.size(); ++q) {
         ++pair_comparisons;
-        if (!proper_subset(rules[i].*nested, rules[j].*nested)) continue;
+        if ((signatures[p] & ~signatures[q]) != 0) continue;
+        const std::size_t i = bucket[p];  // shorter rule
+        const std::size_t j = bucket[q];  // longer rule
+        if (!is_subset(rules(i).*nested, rules(j).*nested)) continue;
         apply(i, j);
       }
     }
@@ -121,8 +142,8 @@ std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
   for (auto& [consequent, bucket] : by_consequent) {
     const bool kw_in_shared = contains(consequent, keyword);
     scan_bucket(bucket, &Rule::antecedent, [&](std::size_t i, std::size_t j) {
-      const Rule& a = rules[i];  // shorter antecedent
-      const Rule& b = rules[j];  // longer antecedent
+      const Rule& a = rules(i);  // shorter antecedent
+      const Rule& b = rules(j);  // longer antecedent
 
       // Condition 1: cause analysis, keyword in the shared consequent.
       if (kw_in_shared) {
@@ -147,8 +168,8 @@ std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
   for (auto& [antecedent, bucket] : by_antecedent) {
     const bool kw_in_shared = contains(antecedent, keyword);
     scan_bucket(bucket, &Rule::consequent, [&](std::size_t i, std::size_t j) {
-      const Rule& a = rules[i];  // shorter consequent
-      const Rule& b = rules[j];  // longer consequent
+      const Rule& a = rules(i);  // shorter consequent
+      const Rule& b = rules(j);  // longer consequent
 
       // Condition 2: characteristic analysis, keyword in the shared
       // antecedent.
@@ -171,7 +192,7 @@ std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
 
   std::vector<Rule> survivors;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!pruned[i]) survivors.push_back(rules[i]);
+    if (!pruned[i]) survivors.push_back(rules(i));
   }
   sort_rules(survivors);
 
@@ -184,6 +205,13 @@ std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
     stats->pair_comparisons = pair_comparisons;
   }
   return survivors;
+}
+
+std::vector<Rule> prune_rules(const std::vector<Rule>& rules, ItemId keyword,
+                              const PruneParams& params, PruneStats* stats) {
+  std::vector<std::size_t> all(rules.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return prune_rules(rules, all, keyword, params, stats);
 }
 
 }  // namespace gpumine::core

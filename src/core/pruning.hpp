@@ -40,6 +40,7 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/itemset.hpp"
@@ -85,10 +86,19 @@ struct PruneStats {
 [[nodiscard]] std::vector<Rule> filter_keyword(const std::vector<Rule>& rules,
                                                ItemId keyword);
 
-/// Applies Conditions 1-4 to `rules` (which should already be restricted
-/// to rules mentioning `keyword`; rules not mentioning it pass through
-/// untouched since no condition applies). Returns survivors in the
-/// deterministic sort_rules order.
+/// Applies Conditions 1-4 to the rules `rules[i]` for i in `subset`
+/// (which should already be restricted to rules mentioning `keyword`;
+/// rules not mentioning it pass through untouched since no condition
+/// applies). Returns survivors in the deterministic sort_rules order.
+/// Only survivors are copied, so a caller holding one shared rule list
+/// prunes any keyword's slice of it through an index list.
+[[nodiscard]] std::vector<Rule> prune_rules(const std::vector<Rule>& rules,
+                                            std::span<const std::size_t> subset,
+                                            ItemId keyword,
+                                            const PruneParams& params,
+                                            PruneStats* stats = nullptr);
+
+/// The same over all of `rules`.
 [[nodiscard]] std::vector<Rule> prune_rules(const std::vector<Rule>& rules,
                                             ItemId keyword,
                                             const PruneParams& params,

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #include "common/ensure.hpp"
@@ -22,14 +23,16 @@ struct ShardResult {
 };
 
 // Enumerates every proper non-empty subset of `fi` as an antecedent,
-// appending the rules that pass the thresholds. `antecedent` and
-// `consequent` are caller-owned scratch buffers reused across itemsets.
+// appending the rules that pass the thresholds; with a `keyword`, only
+// itemsets that contain it are split. `antecedent` and `consequent` are
+// caller-owned scratch buffers reused across itemsets.
 void enumerate_itemset(const FrequentItemset& fi, const SupportIndex& index,
                        const RuleParams& params, std::uint64_t db_size,
-                       Itemset& antecedent, Itemset& consequent,
-                       ShardResult& out) {
+                       std::optional<ItemId> keyword, Itemset& antecedent,
+                       Itemset& consequent, ShardResult& out) {
   const std::size_t k = fi.items.size();
   if (k < 2) return;
+  if (keyword && !contains(fi.items, *keyword)) return;
   GPUMINE_ENSURE(k < 64, "itemset too long for mask enumeration");
   ++out.itemsets_considered;
   const std::uint64_t full = (1ull << k) - 1;
@@ -97,10 +100,13 @@ void sort_rules(std::vector<Rule>& rules) {
   });
 }
 
-std::vector<Rule> generate_rules(const MiningResult& mined,
-                                 const RuleParams& params,
-                                 const SupportIndex& index,
-                                 RuleStageMetrics* metrics) {
+namespace {
+
+// generate_rules, restricted to the itemsets holding `keyword` if given.
+std::vector<Rule> generate(const MiningResult& mined, const RuleParams& params,
+                           const SupportIndex& index,
+                           std::optional<ItemId> keyword,
+                           RuleStageMetrics* metrics) {
   GPUMINE_SPAN("rules/generate");
   params.validate();
   const auto begin = std::chrono::steady_clock::now();
@@ -124,8 +130,8 @@ std::vector<Rule> generate_rules(const MiningResult& mined,
       Itemset antecedent;
       Itemset consequent;
       for (const auto& fi : mined.itemsets) {
-        enumerate_itemset(fi, index, params, mined.db_size, antecedent,
-                          consequent, shard);
+        enumerate_itemset(fi, index, params, mined.db_size, keyword,
+                          antecedent, consequent, shard);
       }
       rules = std::move(shard.rules);
       itemsets_considered = shard.itemsets_considered;
@@ -146,7 +152,7 @@ std::vector<Rule> generate_rules(const MiningResult& mined,
         Itemset consequent;
         for (std::size_t i = lo; i < hi; ++i) {
           enumerate_itemset(mined.itemsets[i], index, params, mined.db_size,
-                            antecedent, consequent, shards[s]);
+                            keyword, antecedent, consequent, shards[s]);
         }
       });
       std::size_t total = 0;
@@ -174,6 +180,23 @@ std::vector<Rule> generate_rules(const MiningResult& mined,
             .count();
   }
   return rules;
+}
+
+}  // namespace
+
+std::vector<Rule> generate_rules(const MiningResult& mined,
+                                 const RuleParams& params,
+                                 const SupportIndex& index,
+                                 RuleStageMetrics* metrics) {
+  return generate(mined, params, index, std::nullopt, metrics);
+}
+
+std::vector<Rule> generate_keyword_rules(const MiningResult& mined,
+                                         const RuleParams& params,
+                                         const SupportIndex& index,
+                                         ItemId keyword,
+                                         RuleStageMetrics* metrics) {
+  return generate(mined, params, index, keyword, metrics);
 }
 
 std::vector<Rule> generate_rules(const MiningResult& mined,

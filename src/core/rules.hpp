@@ -74,6 +74,17 @@ struct RuleParams {
                                                RuleStageMetrics* metrics =
                                                    nullptr);
 
+/// The rules that mention `keyword`: only the frequent itemsets that
+/// contain it are split, since every split of such an itemset puts the
+/// keyword on one side and no other itemset yields a rule holding it.
+/// Equal to filter_keyword(generate_rules(mined, params, index), keyword)
+/// in the same order, without generating the other rules; `metrics`
+/// counts this restricted enumeration.
+[[nodiscard]] std::vector<Rule> generate_keyword_rules(
+    const MiningResult& mined, const RuleParams& params,
+    const SupportIndex& index, ItemId keyword,
+    RuleStageMetrics* metrics = nullptr);
+
 /// Recomputes all metrics of a rule from raw counts — shared by the
 /// generator and by tests that validate metrics against the scan oracle.
 [[nodiscard]] Rule make_rule(Itemset antecedent, Itemset consequent,

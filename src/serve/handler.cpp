@@ -234,6 +234,7 @@ HttpResponse RequestHandler::route(std::string_view method,
     body += ",\"rules\":" + std::to_string(engine->num_rules());
     body += ",\"keywords_with_rules\":" +
             std::to_string(engine->num_keywords_with_rules());
+    body += ",\"engine_build_ms\":" + fmt(engine->build_ms());
     body += "}}";
     return {200, "application/json", std::move(body)};
   }
@@ -245,6 +246,7 @@ HttpResponse RequestHandler::route(std::string_view method,
     shape.itemsets = engine->num_itemsets();
     shape.rules = engine->num_rules();
     shape.keywords_with_rules = engine->num_keywords_with_rules();
+    shape.engine_build_seconds = engine->build_ms() * 1e-3;
     return {200, kPrometheusContentType, metrics_.render_prometheus(shape)};
   }
   if (path == "/reload") {

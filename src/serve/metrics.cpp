@@ -122,6 +122,9 @@ std::string ServerMetrics::render_prometheus(const SnapshotShape& shape) {
   set("gpumine_snapshot_keywords_with_rules",
       "Keywords with at least one rule in the loaded snapshot",
       static_cast<double>(shape.keywords_with_rules));
+  set("gpumine_snapshot_engine_build_seconds",
+      "Wall time of the query engine build for the loaded snapshot",
+      shape.engine_build_seconds);
   return registry_.render_prometheus();
 }
 

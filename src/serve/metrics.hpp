@@ -74,6 +74,7 @@ struct SnapshotShape {
   std::uint64_t itemsets = 0;
   std::uint64_t rules = 0;
   std::uint64_t keywords_with_rules = 0;
+  double engine_build_seconds = 0.0;  // the current engine's build
 };
 
 /// Content type for the /metrics response.

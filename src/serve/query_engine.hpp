@@ -5,27 +5,34 @@
 // root-cause queries from a pre-built structure (the shape of Facebook's
 // fast-dimensional-analysis service): here, one QueryEngine is built
 // from a core::RuleSnapshot and then never mutated. Construction runs
-// the per-keyword half of core::analyze_keyword once for every item in
-// the catalog — keyword filtering, Conditions 1-4 pruning, and the JSON
-// rendering of analysis/export.hpp — so the serving path is a hash
-// lookup returning a pre-rendered response. Because the engine is
-// immutable, any number of server threads can read it concurrently with
-// no locking, and hot-reload is a shared_ptr swap in EngineHandle
+// the pruning half of core::analyze_keyword once for every item in the
+// catalog — Conditions 1-4 pruning and the JSON rendering of
+// analysis/export.hpp — so the serving path is a name -> id lookup
+// returning a pre-rendered response. Because the engine is immutable,
+// any number of server threads can read it concurrently with no
+// locking, and hot-reload is a shared_ptr swap in EngineHandle
 // (serve/engine_handle.hpp), never an in-place update.
+//
+// The build is keyword-indexed. One pass over the snapshot's rules
+// builds item -> rule-index postings, each in rule-list order (which is
+// exactly the rule list filter_keyword would copy out). Items with no
+// postings — most of a real vocabulary — get their empty answer with no
+// scan. The rest are pruned over their postings with no Rule copies, on
+// a private thread pool, largest posting first. The build is linear in
+// the (item, rule) pairs plus the pruning of the non-empty keywords.
 //
 // The answers are byte-identical to running the one-shot CLI pipeline
 // (`gpumine mine --keyword K --format json`) over the same mining
-// result: the engine shares the generated rule list across keywords,
-// and pruning each keyword's slice is exactly what analyze_keyword
-// does (asserted by tests/serve/query_engine_test.cpp).
+// result, at any build width (asserted by
+// tests/serve/query_engine_test.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/miner.hpp"
@@ -37,9 +44,13 @@ namespace gpumine::serve {
 class QueryEngine {
  public:
   /// Builds the keyword index: one pruned KeywordAnalysis plus its
-  /// pre-rendered JSON response per catalog item. Linear in
-  /// |catalog| x |keyword rules|; runs once per snapshot (re)load.
-  explicit QueryEngine(core::RuleSnapshot snapshot);
+  /// pre-rendered JSON response per catalog item; runs once per snapshot
+  /// (re)load. `build_threads` caps the pruning pool: 0 uses the
+  /// hardware concurrency. The width used is also capped at the number
+  /// of keywords with rules, and at most one such keyword builds
+  /// serially. The answers do not depend on the width.
+  explicit QueryEngine(core::RuleSnapshot snapshot,
+                       std::size_t build_threads = 0);
 
   /// Pre-pruned analysis for a keyword item name, or nullptr when the
   /// name is not in the snapshot's vocabulary.
@@ -75,6 +86,8 @@ class QueryEngine {
   [[nodiscard]] std::size_t num_keywords_with_rules() const {
     return keywords_with_rules_;
   }
+  /// Wall time of this engine's construction, in milliseconds.
+  [[nodiscard]] double build_ms() const { return build_ms_; }
   /// Every keyword name, in catalog (id) order — the bench and the
   /// /stats endpoint iterate this.
   [[nodiscard]] std::vector<std::string> keyword_names() const;
@@ -85,10 +98,13 @@ class QueryEngine {
     std::string json;  // rules_to_json(analysis, catalog)
   };
 
+  [[nodiscard]] const Entry* find(std::string_view keyword) const;
+
   core::RuleSnapshot snapshot_;
   core::SupportIndex index_;
-  std::unordered_map<std::string, Entry> by_keyword_;
+  std::vector<Entry> entries_;  // indexed by ItemId
   std::size_t keywords_with_rules_ = 0;
+  double build_ms_ = 0.0;
 };
 
 }  // namespace gpumine::serve

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -188,12 +189,6 @@ TEST(Cli, ItemsetsSaveThenMineLoad) {
       run_cli({"mine", "--load", archive, "--keyword", "Failed"});
   ASSERT_EQ(from_archive.code, 0) << from_archive.err;
   EXPECT_EQ(from_csv.out, from_archive.out);
-}
-
-TEST(Cli, MineLoadMissingArchive) {
-  const auto result =
-      run_cli({"mine", "--load", "/no/such.itemsets", "--keyword", "X"});
-  EXPECT_EQ(result.code, 2);
 }
 
 TEST(Cli, PredictEndToEnd) {
@@ -403,9 +398,66 @@ TEST(Cli, ServeValidation) {
   EXPECT_EQ(run_cli({"serve", "--snapshot", "x.snap", "--port", "70000"})
                 .code,
             2);
-  // A path that doesn't load is a runtime failure, not a usage error.
-  EXPECT_EQ(run_cli({"serve", "--snapshot", "/no/such.snap", "--check"}).code,
+  // A file that opens but does not load is a runtime failure.
+  const std::string bad = temp_path("cli_bad.snap");
+  {
+    std::ofstream out(bad);
+    out << "not a snapshot\n";
+  }
+  EXPECT_EQ(run_cli({"serve", "--snapshot", bad, "--port", "0", "--check"})
+                .code,
             1);
+}
+
+// Every flag that names an input file, on every command: a missing
+// file is a usage error (exit 2) naming the path, before any work.
+TEST(Cli, MissingInputFileIsAUsageError) {
+  const std::string missing = temp_path("no_such_input");
+  const std::string out = temp_path("cli_never_written.snap");
+  const std::vector<std::vector<std::string>> cases = {
+      {"itemsets", "--csv", missing},
+      {"mine", "--csv", missing, "--keyword", "X"},
+      {"mine", "--load", missing, "--keyword", "X"},
+      {"predict", "--csv", missing, "--target", "X"},
+      {"report", "--csv", missing},
+      {"digest", "--csv", missing, "--keyword", "X"},
+      {"compare", "--a", missing, "--b", missing, "--keyword", "X"},
+      {"snapshot", "--csv", missing, "--out", out},
+      {"snapshot", "--from-itemsets", missing, "--out", out},
+      {"serve", "--snapshot", missing, "--port", "0", "--check"},
+      {"trace-check", "--file", missing},
+      {"metrics-check", "--file", missing},
+  };
+  const std::set<std::string> input_flags = {"csv",           "load",
+                                             "from-itemsets", "a",
+                                             "b",             "snapshot",
+                                             "file"};
+  std::set<std::string> covered;
+  for (const auto& args : cases) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.code, 2) << args[0] << " " << args[1];
+    EXPECT_NE(result.err.find(missing), std::string::npos)
+        << args[0] << " " << args[1] << ": " << result.err;
+    for (const std::string& arg : args) {
+      if (arg.rfind("--", 0) == 0) covered.insert(args[0] + " " + arg);
+    }
+  }
+  std::ifstream never(out);
+  EXPECT_FALSE(never.good());
+  // The table must name every declared input-file flag.
+  for (const auto& [command, usage] : command_usages()) {
+    std::vector<Flag> flags = usage->flags;
+    for (const auto& source : usage->sources) {
+      flags.insert(flags.end(), source.begin(), source.end());
+    }
+    for (const Flag& flag : flags) {
+      if (input_flags.count(std::string(flag.name)) == 0) continue;
+      EXPECT_EQ(covered.count(std::string(command) + " --" +
+                              std::string(flag.name)),
+                1u)
+          << command << " --" << flag.name << " has no case";
+    }
+  }
 }
 
 TEST(Cli, QueryValidation) {
@@ -534,9 +586,6 @@ TEST(Cli, MineMetricsOutWritesLintedExposition) {
 
 TEST(Cli, MetricsCheckRejectsMissingAndMalformedFiles) {
   EXPECT_EQ(run_cli({"metrics-check"}).code, 2);
-  EXPECT_EQ(
-      run_cli({"metrics-check", "--file", temp_path("no_such.prom")}).code,
-      1);
   const std::string bad = temp_path("cli_bad_metrics.prom");
   {
     std::ofstream out(bad);
@@ -655,8 +704,6 @@ TEST(Cli, MineRejectsBadLogLevelAndAcceptsLogFile) {
 
 TEST(Cli, TraceCheckRejectsMissingAndMalformedFiles) {
   EXPECT_EQ(run_cli({"trace-check"}).code, 2);
-  EXPECT_EQ(run_cli({"trace-check", "--file", temp_path("no_such.json")}).code,
-            1);
   const std::string bad = temp_path("cli_bad_trace.json");
   {
     std::ofstream out(bad);
@@ -707,6 +754,25 @@ TEST(Cli, RejectsWrongValueShapes) {
       run_cli({"serve", "--snapshot", "/no/such.snap", "--check=no"});
   EXPECT_EQ(check.code, 2);
   EXPECT_NE(check.err.find("--check"), std::string::npos) << check.err;
+}
+
+// A command takes only the flags it reads: `itemsets` generates no
+// rules and `predict` prunes none.
+TEST(Cli, RuleFlagsOnlyWhereRead) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"itemsets", "--csv", "x.csv", "--min-lift", "2"},
+      {"itemsets", "--csv", "x.csv", "--c-lift", "2"},
+      {"itemsets", "--csv", "x.csv", "--c-supp", "2"},
+      {"predict", "--csv", "x.csv", "--target", "X", "--c-lift", "2"},
+      {"predict", "--csv", "x.csv", "--target", "X", "--c-supp", "2"},
+  };
+  for (const auto& args : cases) {
+    const auto result = run_cli(args);
+    EXPECT_EQ(result.code, 2) << args[0] << " " << args[3];
+    EXPECT_NE(result.err.find("unknown flag " + args[args.size() - 2]),
+              std::string::npos)
+        << result.err;
+  }
 }
 
 TEST(Cli, ValidatesBeforeWorking) {

@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <random>
 
+#include "core/fpgrowth.hpp"
+#include "mining_test_util.hpp"
+
 namespace gpumine::core {
 namespace {
 
@@ -245,6 +248,43 @@ TEST(PruneRules, OrderIndependenceAtScaleBucketed) {
     // Firing is order-independent, so the attribution counters are too.
     EXPECT_EQ(stats.pruned_by, baseline_stats.pruned_by)
         << "trial " << trial;
+  }
+}
+
+// Pruning a keyword's slice through an index list over the shared rule
+// list (the query engine's path) equals pruning a copy of that slice.
+TEST(PruneRules, IndexSubsetMatchesCopiedSubset) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto db = testutil::random_db(seed, /*num_txns=*/150,
+                                        /*num_items=*/8);
+    MiningParams mp;
+    mp.min_support = 0.05;
+    RuleParams rp;
+    rp.min_lift = 0.0;
+    const auto all = generate_rules(mine_fpgrowth(db, mp), rp);
+    for (ItemId k = 0; k < 8; ++k) {
+      std::vector<std::size_t> subset;
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        if (contains(all[i].antecedent, k) || contains(all[i].consequent, k)) {
+          subset.push_back(i);
+        }
+      }
+      PruneStats by_index;
+      PruneStats by_copy;
+      const auto got = prune_rules(all, subset, k, PruneParams{}, &by_index);
+      const auto expected =
+          prune_rules(filter_keyword(all, k), k, PruneParams{}, &by_copy);
+      ASSERT_EQ(got.size(), expected.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].antecedent, expected[i].antecedent);
+        EXPECT_EQ(got[i].consequent, expected[i].consequent);
+      }
+      EXPECT_EQ(by_index.input, by_copy.input);
+      EXPECT_EQ(by_index.kept, by_copy.kept);
+      EXPECT_EQ(by_index.pruned_by, by_copy.pruned_by);
+      EXPECT_EQ(by_index.num_buckets, by_copy.num_buckets);
+      EXPECT_EQ(by_index.pair_comparisons, by_copy.pair_comparisons);
+    }
   }
 }
 

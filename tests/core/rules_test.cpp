@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/fpgrowth.hpp"
+#include "core/pruning.hpp"
 #include "mining_test_util.hpp"
 
 namespace gpumine::core {
@@ -141,6 +142,54 @@ TEST(GenerateRules, DeterministicOrdering) {
   // Sorted by lift descending.
   for (std::size_t i = 1; i < a.size(); ++i) {
     EXPECT_GE(a[i - 1].lift, a[i].lift);
+  }
+}
+
+// Keyword-restricted generation splits only the itemsets holding the
+// keyword; it must yield exactly the keyword's slice of the full list,
+// in the same order, on the serial and the sharded path alike.
+TEST(GenerateRules, KeywordRulesEqualFilteredFullList) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto db = testutil::random_db(seed, /*num_txns=*/60 + 15 * seed,
+                                        /*num_items=*/static_cast<ItemId>(
+                                            5 + seed % 5));
+    MiningParams mp;
+    mp.min_support = 0.08;
+    const auto mined = mine_fpgrowth(db, mp);
+    const SupportIndex index(mined);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      RuleParams params;
+      params.min_lift = seed % 2 == 0 ? 0.0 : 1.1;
+      params.num_threads = threads;
+      params.serial_cutoff_itemsets = 0;
+      const auto all = generate_rules(mined, params, index);
+      for (ItemId k = 0; k < 5 + seed % 5; ++k) {
+        const auto expected = filter_keyword(all, k);
+        RuleStageMetrics metrics;
+        const auto got =
+            generate_keyword_rules(mined, params, index, k, &metrics);
+        ASSERT_EQ(got.size(), expected.size())
+            << "seed " << seed << " item " << k;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].antecedent, expected[i].antecedent);
+          EXPECT_EQ(got[i].consequent, expected[i].consequent);
+          EXPECT_EQ(got[i].count, expected[i].count);
+          EXPECT_EQ(got[i].lift, expected[i].lift);
+        }
+        // The funnel counts the restricted enumeration only.
+        std::uint64_t itemsets = 0;
+        std::uint64_t splits = 0;
+        for (const FrequentItemset& fi : mined.itemsets) {
+          if (fi.items.size() >= 2 && contains(fi.items, k)) {
+            ++itemsets;
+            splits += (std::uint64_t{1} << fi.items.size()) - 2;
+          }
+        }
+        EXPECT_EQ(metrics.itemsets_considered, itemsets);
+        EXPECT_EQ(metrics.candidate_rules, splits);
+        EXPECT_EQ(metrics.rules_generated, got.size());
+      }
+    }
   }
 }
 

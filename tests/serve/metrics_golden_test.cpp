@@ -1,8 +1,9 @@
 // Golden /metrics and /stats bodies for a fixed sequence of recorded
 // requests and reloads. The sequence covers a 0 ns latency, one that
 // saturates the top log2 bucket, non-2xx statuses and a failed reload.
-// Only the clock-derived values (uptime, qps) are masked; every other
-// byte must match the files under tests/serve/golden/.
+// Only the clock-derived values (uptime, qps, engine build time) are
+// masked; every other byte must match the files under
+// tests/serve/golden/.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -53,9 +54,12 @@ TEST(ServerMetricsGolden, MetricsExpositionIsByteStable) {
   const auto handler = recorded_handler();
   const HttpResponse response = handler->handle("GET", "/metrics");
   ASSERT_EQ(response.status, 200);
-  const std::string body = std::regex_replace(
+  std::string body = std::regex_replace(
       response.body,
       std::regex("(\ngpumine_server_uptime_seconds )[^\n]*"), "$1<uptime>");
+  body = std::regex_replace(
+      body, std::regex("(\ngpumine_snapshot_engine_build_seconds )[^\n]*"),
+      "$1<build>");
   EXPECT_EQ(body, read_golden("server_metrics.prom"));
 }
 
@@ -66,6 +70,8 @@ TEST(ServerMetricsGolden, StatsBodyIsByteStable) {
   std::string body = std::regex_replace(
       response.body, std::regex("(\"uptime_seconds\":)[^,]*"), "$1<uptime>");
   body = std::regex_replace(body, std::regex("(\"qps\":)[^,]*"), "$1<qps>");
+  body = std::regex_replace(body, std::regex("(\"engine_build_ms\":)[^}]*"),
+                            "$1<build>");
   EXPECT_EQ(body + "\n", read_golden("server_stats.json"));
 }
 
