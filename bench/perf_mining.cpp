@@ -1,6 +1,6 @@
-// Performance of the frequent-itemset miners (FP-Growth, serial and
-// parallel, and the partitioned SON engine) plus the downstream
-// rule-generation and pruning stages (google-benchmark).
+// Performance of the frequent-itemset miner (FP-Growth, serial and
+// parallel) plus the downstream rule-generation and pruning stages
+// (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "core/fpgrowth.hpp"
-#include "core/partitioned.hpp"
 #include "core/pruning.hpp"
 #include "bench_util.hpp"
 #include "core/streaming.hpp"
@@ -224,23 +223,6 @@ BENCHMARK(BM_FpGrowthParallel)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PartitionedSon(benchmark::State& state) {
-  const auto db = make_db(static_cast<std::size_t>(state.range(0)), 36,
-                          0.45, 7);
-  core::PartitionedParams p;
-  p.mining = params();
-  p.num_partitions = static_cast<std::size_t>(state.range(1));
-  p.num_threads = 1;  // single-core box; measures algorithmic overhead
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::mine_partitioned(db, p));
-  }
-}
-BENCHMARK(BM_PartitionedSon)
-    ->Args({10000, 1})
-    ->Args({10000, 4})
-    ->Args({10000, 16})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SlidingWindowMine(benchmark::State& state) {

@@ -41,16 +41,6 @@ struct ColumnMerge {
   std::string fallback;  // "" = keep unmapped labels
 };
 
-/// How the frequent-itemset stage executes. kDirect mines the whole
-/// (deduplicated) database in one FP-Growth run; kSon routes
-/// through the two-pass partitioned engine (core::mine_partitioned) —
-/// the scale-out path for traces that outgrow one FP-Growth run.
-/// Results are byte-identical either way.
-enum class MiningEngine {
-  kDirect,
-  kSon,
-};
-
 struct WorkflowConfig {
   std::vector<ColumnBinning> binnings;
   std::vector<ColumnGrouping> groupings;
@@ -67,12 +57,6 @@ struct WorkflowConfig {
   core::PruneParams pruning{};       // C_lift = C_supp = 1.5
   /// Single-valued (see core::Algorithm); selects nothing.
   core::Algorithm algorithm = core::Algorithm::kFpGrowth;
-  /// Execution strategy for the mining stage. kSon partitions the
-  /// database into `num_partitions` slices and runs the two-pass SON
-  /// engine (partitions mine with FP-Growth).
-  MiningEngine engine = MiningEngine::kDirect;
-  /// Partition count for the kSon engine; ignored under kDirect.
-  std::size_t num_partitions = 4;
   /// Worker threads for the preprocessing stages (per-column binning,
   /// encoder passes). 1 = serial; propagated into encoder.num_threads
   /// unless that was set explicitly.

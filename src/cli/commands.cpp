@@ -69,8 +69,6 @@ const std::vector<Flag> kTraceFlags = {
     {"min-support", FlagKind::kDouble, "F", "0.05"},
     {"max-length", FlagKind::kUint, "K", "5"},
     {"categorical", FlagKind::kText, "col,..", "job_id"},
-    {"engine", FlagKind::kChoice, "direct|son", "direct"},
-    {"partitions", FlagKind::kUint, "N", "4"},
     {"drop", FlagKind::kText, "col,..", "job_id"},
     {"bare", FlagKind::kText, "col,.."},
     {"group", FlagKind::kText, "col,.."},
@@ -122,9 +120,6 @@ struct LoadedTrace {
 };
 
 Result<LoadedTrace> load_trace(const Args& args) {
-  if (args.uint("partitions") == 0) {
-    return Error{"--partitions", "must be >= 1"};
-  }
   // --threads drives the CSV parser's chunking too.
   const auto threads = static_cast<std::size_t>(args.uint("threads"));
 
@@ -147,10 +142,6 @@ Result<LoadedTrace> load_trace(const Args& args) {
   config.mining.num_threads = threads;
   config.prep_threads = threads;
   config.rules.num_threads = threads;
-  config.engine = args.text("engine") == "son"
-                      ? analysis::MiningEngine::kSon
-                      : analysis::MiningEngine::kDirect;
-  config.num_partitions = static_cast<std::size_t>(args.uint("partitions"));
 
   config.drop_columns = split_list(args.text("drop"));
   config.encoder.bare_label_columns = split_list(args.text("bare"));
@@ -552,7 +543,8 @@ int run_predict(const Args& args, std::ostream& out, std::ostream& err) {
     err << "target '" << target << "' is not an encoded item\n";
     return 1;
   }
-  const auto rules = core::generate_rules(train.mined, config.rules);
+  const auto rules = core::generate_keyword_rules(
+      train.mined, config.rules, core::SupportIndex(train.mined), *target_id);
   const auto cause =
       core::filter_keyword(rules, *target_id, core::KeywordSide::kConsequent);
   analysis::ClassifierParams clf_params;
@@ -712,8 +704,9 @@ int run_compare(const Args& args, std::ostream& out, std::ostream& err) {
       -> std::vector<core::Rule> {
     const auto id = archive.catalog.find(keyword);
     if (!id) return {};
-    return core::filter_keyword(
-        core::generate_rules(archive.result, rule_params), *id);
+    return core::generate_keyword_rules(archive.result, rule_params,
+                                        core::SupportIndex(archive.result),
+                                        *id);
   };
   const auto rules_a = keyword_rules(a);
   const auto rules_b = keyword_rules(b);

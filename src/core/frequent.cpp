@@ -6,13 +6,11 @@
 #include <sstream>
 
 #include "common/ensure.hpp"
-#include "core/tidset.hpp"
 
 namespace gpumine::core {
 
 std::uint64_t MiningParams::min_count(std::uint64_t db_size) const {
   validate();
-  if (min_count_override > 0) return min_count_override;
   const double exact = min_support * static_cast<double>(db_size);
   auto count = static_cast<std::uint64_t>(std::ceil(exact));
   // ceil can land one below the threshold through floating rounding when
@@ -60,91 +58,6 @@ std::string PrepStageMetrics::to_json() const {
       << ",\"input_transactions\":" << input_transactions
       << ",\"distinct_transactions\":" << distinct_transactions
       << ",\"dedup_ratio\":" << dedup_ratio << "}";
-  return out.str();
-}
-
-void KernelMetrics::add(const KernelCounters& counters) {
-  dense_intersections += counters.dense_intersections;
-  sparse_intersections += counters.sparse_intersections;
-  mixed_intersections += counters.mixed_intersections;
-  dense_sets_built += counters.dense_sets_built;
-  sparse_sets_built += counters.sparse_sets_built;
-  words_scanned += counters.words_scanned;
-  elements_merged += counters.elements_merged;
-}
-
-bool KernelMetrics::populated() const {
-  return !tier.empty() &&
-         (dense_intersections > 0 || sparse_intersections > 0 ||
-          mixed_intersections > 0 || dense_sets_built > 0 ||
-          sparse_sets_built > 0);
-}
-
-std::string KernelMetrics::summary() const {
-  std::ostringstream out;
-  out << "kernel stage:\n"
-      << "  dispatch tier:  " << tier << "\n"
-      << "  intersections:  " << dense_intersections << " dense, "
-      << sparse_intersections << " sparse, " << mixed_intersections
-      << " mixed\n"
-      << "  sets built:     " << dense_sets_built << " dense, "
-      << sparse_sets_built << " sparse\n"
-      << "  kernel traffic: " << words_scanned << " words scanned, "
-      << elements_merged << " elements merged\n";
-  return out.str();
-}
-
-std::string KernelMetrics::to_json() const {
-  std::ostringstream out;
-  out << "{\"tier\":\"" << tier << "\""
-      << ",\"dense_intersections\":" << dense_intersections
-      << ",\"sparse_intersections\":" << sparse_intersections
-      << ",\"mixed_intersections\":" << mixed_intersections
-      << ",\"dense_sets_built\":" << dense_sets_built
-      << ",\"sparse_sets_built\":" << sparse_sets_built
-      << ",\"words_scanned\":" << words_scanned
-      << ",\"elements_merged\":" << elements_merged << "}";
-  return out.str();
-}
-
-bool PartitionMetrics::populated() const {
-  return num_partitions > 0 || candidates > 0 || pass1_seconds > 0.0 ||
-         pass2_seconds > 0.0;
-}
-
-std::string PartitionMetrics::summary() const {
-  std::ostringstream out;
-  out << "partition stage (SON):\n"
-      << "  partitions:     " << num_partitions << " (threads "
-      << num_threads << ")\n"
-      << "  rows:           " << input_rows << " -> " << distinct_rows
-      << " distinct after per-partition dedup\n"
-      << "  local itemsets:";
-  for (std::uint64_t n : partition_itemsets) out << " " << n;
-  out << "\n"
-      << "  candidates:     " << candidates << " -> " << verified
-      << " verified (false-candidate rate " << false_candidate_rate << ")\n"
-      << "  pass 1:         " << pass1_seconds * 1e3 << " ms\n"
-      << "  pass 2:         " << pass2_seconds * 1e3 << " ms ("
-      << verify_shards << " shards)\n";
-  return out.str();
-}
-
-std::string PartitionMetrics::to_json() const {
-  std::ostringstream out;
-  out << "{\"num_partitions\":" << num_partitions
-      << ",\"num_threads\":" << num_threads << ",\"partition_itemsets\":[";
-  for (std::size_t i = 0; i < partition_itemsets.size(); ++i) {
-    if (i > 0) out << ",";
-    out << partition_itemsets[i];
-  }
-  out << "],\"input_rows\":" << input_rows
-      << ",\"distinct_rows\":" << distinct_rows
-      << ",\"candidates\":" << candidates << ",\"verified\":" << verified
-      << ",\"false_candidate_rate\":" << false_candidate_rate
-      << ",\"verify_shards\":" << verify_shards
-      << ",\"pass1_seconds\":" << pass1_seconds
-      << ",\"pass2_seconds\":" << pass2_seconds << "}";
   return out.str();
 }
 
@@ -220,8 +133,6 @@ std::string MiningMetrics::summary() const {
     out << "\n";
   }
   if (prep_stage.populated()) out << prep_stage.summary();
-  if (kernel_stage.populated()) out << kernel_stage.summary();
-  if (partition_stage.populated()) out << partition_stage.summary();
   if (rule_stage.populated()) out << rule_stage.summary();
   return out.str();
 }
@@ -248,8 +159,6 @@ std::string MiningMetrics::to_json() const {
     out << depth_histogram[i];
   }
   out << "],\"prep_stage\":" << prep_stage.to_json()
-      << ",\"kernel_stage\":" << kernel_stage.to_json()
-      << ",\"partition_stage\":" << partition_stage.to_json()
       << ",\"rule_stage\":" << rule_stage.to_json() << "}";
   return out.str();
 }

@@ -23,8 +23,8 @@ struct MiningParams {
   /// Maximum itemset length. Paper default: 5 (Sec. III-D).
   std::size_t max_length = 5;
   /// Worker threads for the mining scheduler (FP-Growth spawns
-  /// work-stealing tasks recursively; partitioned mining parallelizes
-  /// across partitions). 0 = hardware concurrency, 1 = sequential.
+  /// work-stealing tasks recursively). 0 = hardware concurrency,
+  /// 1 = sequential.
   std::size_t num_threads = 1;
   /// FP-Growth spawns a scheduler task for a conditional tree with at
   /// least this many nodes; smaller trees are mined inline. Lower values
@@ -39,19 +39,9 @@ struct MiningParams {
   /// smoke workload). 0 disables the fallback (tests use this to force
   /// the parallel path on small fixtures).
   std::size_t serial_cutoff_items = 131072;
-  /// Absolute support-count threshold; 0 = derive from min_support.
-  /// When set, min_count() returns this value verbatim, bypassing the
-  /// fraction entirely. Callers that already hold an absolute count
-  /// (SON's per-partition thresholds) use this
-  /// to avoid the count -> fraction -> ceil(f * |D|) round trip, which
-  /// can land on count + 1 under floating rounding (e.g. count 7 over
-  /// total weight 25) and silently tighten the threshold.
-  std::uint64_t min_count_override = 0;
-
   /// Converts the fractional threshold into an absolute count over a
   /// database of total weight `db_size`: the smallest count c with
-  /// c / db_size >= min_support, and at least 1. When
-  /// min_count_override is nonzero it wins unconditionally.
+  /// c / db_size >= min_support, and at least 1.
   [[nodiscard]] std::uint64_t min_count(std::uint64_t db_size) const;
 
   /// Throws std::invalid_argument unless thresholds are in range.
@@ -121,73 +111,9 @@ struct RuleStageMetrics {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Observability for the two-pass partitioned SON engine
-/// (core::mine_partitioned): per-partition local-mining shape, the
-/// candidate-verification funnel, and per-pass wall times. Rendered as
-/// part of `mine --stats` and the perf JSON; all fields are zero unless
-/// the run went through the partitioned engine. docs/SCALING.md
-/// documents the schema.
-struct PartitionMetrics {
-  std::size_t num_partitions = 0;  // pass-1 slices actually mined
-  std::size_t num_threads = 1;     // scheduler width of the run
-  /// Locally frequent itemsets found per partition (pass-1 output).
-  std::vector<std::uint64_t> partition_itemsets;
-  std::uint64_t input_rows = 0;     // rows sliced into partitions
-  std::uint64_t distinct_rows = 0;  // rows after per-partition dedup
-  std::uint64_t candidates = 0;     // union of the local winners
-  std::uint64_t verified = 0;       // candidates globally frequent
-  /// Candidates that failed global verification, as a fraction of the
-  /// candidate set: (candidates - verified) / candidates.
-  double false_candidate_rate = 0.0;
-  std::uint64_t verify_shards = 0;  // pass-2 counting chunks
-  double pass1_seconds = 0.0;       // slice + dedup + local mining
-  double pass2_seconds = 0.0;       // index build + count + reduce
-
-  /// True once a partitioned run has been recorded.
-  [[nodiscard]] bool populated() const;
-
-  /// Human-readable block appended to MiningMetrics::summary().
-  [[nodiscard]] std::string summary() const;
-
-  /// Single-line JSON object (embedded by MiningMetrics::to_json).
-  [[nodiscard]] std::string to_json() const;
-};
-
-struct KernelCounters;  // core/tidset.hpp
-
-/// Observability for the vertical-mining kernel layer (core/tidset.hpp):
-/// which dispatch tier ran, how often each representation pairing was
-/// intersected, and raw kernel traffic. Filled by the one engine that
-/// runs on tid-sets (SON pass 2) and rendered
-/// as part of `mine --stats`/`--stats-json`; see docs/KERNELS.md for
-/// the representation heuristics behind the numbers.
-struct KernelMetrics {
-  std::string tier;  // "scalar" | "word" | "avx2"; empty = no kernel ran
-  std::uint64_t dense_intersections = 0;   // bitmap AND kernel calls
-  std::uint64_t sparse_intersections = 0;  // sorted-list merge joins
-  std::uint64_t mixed_intersections = 0;   // list probed against bitmap
-  std::uint64_t dense_sets_built = 0;      // bitmap results materialized
-  std::uint64_t sparse_sets_built = 0;     // list results materialized
-  std::uint64_t words_scanned = 0;         // 64-bit words read by kernels
-  std::uint64_t elements_merged = 0;       // list elements read by merges
-
-  /// Accumulates one task's/chunk's kernel-layer counters.
-  void add(const KernelCounters& counters);
-
-  /// True once any kernel work has been recorded.
-  [[nodiscard]] bool populated() const;
-
-  /// Human-readable block appended to MiningMetrics::summary().
-  [[nodiscard]] std::string summary() const;
-
-  /// Single-line JSON object (embedded by MiningMetrics::to_json).
-  [[nodiscard]] std::string to_json() const;
-};
-
-/// Observability counters for one mining run, filled by the algorithms
-/// that use the work-stealing scheduler (FP-Growth, partitioned).
-/// Rendered by `gpumine mine --stats` and emitted as JSON by the bench
-/// harness; all fields are zero for purely sequential algorithms.
+/// Observability counters for one mining run, filled by FP-Growth and
+/// its work-stealing scheduler. Rendered by `gpumine mine --stats` and
+/// emitted as JSON by the bench harness.
 struct MiningMetrics {
   std::size_t num_workers = 1;        // scheduler width (1 = sequential)
   std::uint64_t tasks_spawned = 0;    // scheduler tasks submitted
@@ -209,12 +135,6 @@ struct MiningMetrics {
   /// mined at depth d (top-level projections are depth 0). The last slot
   /// aggregates anything deeper.
   std::vector<std::uint64_t> depth_histogram;
-  /// Vertical-kernel counters; zero unless the run intersected tid-sets
-  /// (SON pass-2 verification).
-  KernelMetrics kernel_stage;
-  /// Two-pass SON counters; zero unless the run used the partitioned
-  /// engine (core::mine_partitioned).
-  PartitionMetrics partition_stage;
   /// Downstream rule-generation/pruning counters; zero until a rule
   /// stage ran over this result (e.g. `mine --keyword`).
   RuleStageMetrics rule_stage;

@@ -45,71 +45,6 @@ void export_mining_metrics(const MiningMetrics& m, MetricsRegistry& r) {
         .add(m.depth_histogram[d]);
   }
 
-  // --- vertical kernel layer ----------------------------------------------
-  const KernelMetrics& k = m.kernel_stage;
-  r.gauge("gpumine_kernel_tier_info",
-          "Constant 1, labeled with the kernel dispatch tier of the run",
-          {{"tier", k.tier.empty() ? "none" : k.tier}})
-      .set(1.0);
-  r.counter("gpumine_kernel_intersections_total",
-            "Tid-set intersections, by representation pairing",
-            {{"kind", "dense"}})
-      .add(k.dense_intersections);
-  r.counter("gpumine_kernel_intersections_total",
-            "Tid-set intersections, by representation pairing",
-            {{"kind", "sparse"}})
-      .add(k.sparse_intersections);
-  r.counter("gpumine_kernel_intersections_total",
-            "Tid-set intersections, by representation pairing",
-            {{"kind", "mixed"}})
-      .add(k.mixed_intersections);
-  r.counter("gpumine_kernel_sets_built_total",
-            "Result tid-sets materialized, by representation",
-            {{"kind", "dense"}})
-      .add(k.dense_sets_built);
-  r.counter("gpumine_kernel_sets_built_total",
-            "Result tid-sets materialized, by representation",
-            {{"kind", "sparse"}})
-      .add(k.sparse_sets_built);
-  r.counter("gpumine_kernel_words_scanned_total",
-            "64-bit words read by dense kernels")
-      .add(k.words_scanned);
-  r.counter("gpumine_kernel_elements_merged_total",
-            "List elements read by sparse merges")
-      .add(k.elements_merged);
-
-  // --- partitioned SON engine ---------------------------------------------
-  const PartitionMetrics& p = m.partition_stage;
-  r.gauge("gpumine_son_partitions", "Pass-1 slices mined")
-      .set(static_cast<double>(p.num_partitions));
-  r.gauge("gpumine_son_rows", "Rows entering the partitioned engine",
-          {{"kind", "input"}})
-      .set(static_cast<double>(p.input_rows));
-  r.gauge("gpumine_son_rows", "Rows entering the partitioned engine",
-          {{"kind", "distinct"}})
-      .set(static_cast<double>(p.distinct_rows));
-  r.gauge("gpumine_son_candidates", "Union of locally frequent itemsets")
-      .set(static_cast<double>(p.candidates));
-  r.gauge("gpumine_son_verified", "Candidates confirmed globally frequent")
-      .set(static_cast<double>(p.verified));
-  r.gauge("gpumine_son_false_candidate_rate",
-          "Fraction of candidates that failed global verification")
-      .set(p.false_candidate_rate);
-  r.gauge("gpumine_son_verify_shards", "Pass-2 counting chunks")
-      .set(static_cast<double>(p.verify_shards));
-  r.gauge("gpumine_son_pass_seconds", "Wall time per SON pass",
-          {{"pass", "1"}})
-      .set(p.pass1_seconds);
-  r.gauge("gpumine_son_pass_seconds", "Wall time per SON pass",
-          {{"pass", "2"}})
-      .set(p.pass2_seconds);
-  for (std::size_t i = 0; i < p.partition_itemsets.size(); ++i) {
-    r.gauge("gpumine_son_partition_itemsets",
-            "Locally frequent itemsets per partition",
-            {{"partition", std::to_string(i)}})
-        .set(static_cast<double>(p.partition_itemsets[i]));
-  }
-
   // --- rule stage ----------------------------------------------------------
   const RuleStageMetrics& rs = m.rule_stage;
   r.gauge("gpumine_rules_threads", "Rule-generation shard width")

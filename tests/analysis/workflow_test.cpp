@@ -109,29 +109,6 @@ TEST(Mine, AlgorithmChoiceDoesNotChangeResults) {
       fp.mined.itemsets, core::testutil::brute_force(fp.prepared.db, cfg.mining));
 }
 
-TEST(Mine, SonEngineMatchesDirectAndFillsPartitionMetrics) {
-  auto cfg = toy_config();
-  const auto direct = mine(toy_table(), cfg);
-  cfg.engine = MiningEngine::kSon;
-  cfg.num_partitions = 3;
-  const auto son = mine(toy_table(), cfg);
-  ASSERT_EQ(son.mined.itemsets.size(), direct.mined.itemsets.size());
-  for (std::size_t i = 0; i < son.mined.itemsets.size(); ++i) {
-    EXPECT_EQ(son.mined.itemsets[i].items, direct.mined.itemsets[i].items);
-    EXPECT_EQ(son.mined.itemsets[i].count, direct.mined.itemsets[i].count);
-  }
-  EXPECT_EQ(son.mined.db_size, direct.mined.db_size);
-  const auto& stage = son.mined.metrics.partition_stage;
-  EXPECT_TRUE(stage.populated());
-  EXPECT_EQ(stage.num_partitions, 3u);
-  // Dedup accounting comes from the partition stage on the SON path;
-  // each slice folds the toy trace's identical debug jobs.
-  EXPECT_EQ(son.mined.metrics.prep_stage.distinct_transactions,
-            stage.distinct_rows);
-  EXPECT_LT(stage.distinct_rows, stage.input_rows);
-  EXPECT_FALSE(direct.mined.metrics.partition_stage.populated());
-}
-
 TEST(Analyze, UnknownKeywordThrowsWithHint) {
   const auto mined = mine(toy_table(), toy_config());
   try {

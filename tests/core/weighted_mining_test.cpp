@@ -1,9 +1,8 @@
 // Weighted (deduplicated) transactions must be observationally
 // equivalent to the expanded database: TransactionDb::dedup() folds
 // identical rows into multiplicities, support math runs over
-// total_weight(), and every miner — FP-Growth and partitioned SON —
-// plus rule generation must produce byte-identical results on the
-// weighted form, at any thread count.
+// total_weight(), and FP-Growth plus rule generation must produce
+// byte-identical results on the weighted form, at any thread count.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,7 +14,6 @@
 #include "analysis/trace_configs.hpp"
 #include "analysis/workflow.hpp"
 #include "core/fpgrowth.hpp"
-#include "core/partitioned.hpp"
 #include "core/rules.hpp"
 #include "core/serialize.hpp"
 #include "core/support_index.hpp"
@@ -111,8 +109,8 @@ struct EncodedTrace {
 };
 
 // Mining the deduplicated database must reproduce the expanded
-// database's archive byte for byte, for every engine and thread
-// count, and the derived rules must carry bit-identical metrics.
+// database's archive byte for byte at every thread count, and the
+// derived rules must carry bit-identical metrics.
 void check_weighted_equivalence(const EncodedTrace& trace, const char* label) {
   const TransactionDb deduped = trace.db.dedup();
   ASSERT_LT(deduped.size(), trace.db.size())
@@ -135,12 +133,6 @@ void check_weighted_equivalence(const EncodedTrace& trace, const char* label) {
     EXPECT_EQ(archive_bytes(mine_fpgrowth(deduped, params), trace.catalog),
               expected)
         << label << " fpgrowth threads=" << threads;
-    PartitionedParams son;
-    son.mining = params;
-    son.num_threads = threads;
-    EXPECT_EQ(archive_bytes(mine_partitioned(deduped, son), trace.catalog),
-              expected)
-        << label << " son threads=" << threads;
   }
 
   // Rule metrics divide by db_size == total_weight, so they must be
